@@ -8,7 +8,7 @@ presentation layers (JSON "decimal" fields, benchmark timings).
 from .ratio import Rat
 from .instance import SteinerInstance, SteinerTree, parse_stp, render_stp, generate_random
 from .components import Component, enumerate_components, min_component_cost
-from .hyperlp import FractionalSolution, BlowupGraph, solve_lp_exact, build_blowup
+from .hyperlp import FractionalSolution, BlowupGraph, solve_lp_exact
 from .contract_alg import run as run_contraction
 from .bcr_quasi import solve_bcr, natural_decomposition
 
@@ -28,5 +28,4 @@ __all__ = [
     "FractionalSolution",
     "BlowupGraph",
     "solve_lp_exact",
-    "build_blowup",
 ]

@@ -152,10 +152,28 @@ def solve_bcr(inst, r=None):
             raise AssertionError("cut violated but already present; separation bug")
 
 
-def relocate_root(sol, new_root):
+def _hub_arcs(weights):
+    """Arcs through the components peeled so far: each one is a hub of
+    throughput = its weight between its terminals."""
+    arcs = []
+    for i, (comp, w) in enumerate(sorted(weights.items(),
+                                         key=lambda cw: cw[0].edges)):
+        hub = ("hub", i)
+        for t in sorted(comp.terminals):
+            arcs.append((t, hub, w))
+            arcs.append((hub, t, w))
+    return arcs
+
+
+def relocate_root(sol, new_root, weights=None):
     """Reverse one unit of new_root -> old_root flow inside the
     capacities; the result is feasible for the new root and costs the
-    same (edge costs are symmetric)."""
+    same (edge costs are symmetric).
+
+    During the decomposition, `weights` holds the components peeled so
+    far: the unit flow may ride through them as hubs, and only the
+    portion on real arcs gets reversed (components carry flow in any
+    direction for free)."""
     if new_root == sol.root:
         return sol
     if new_root not in sol.instance.terminals:
@@ -164,6 +182,8 @@ def relocate_root(sol, new_root):
     handles = {}
     for a, v in sol.x.items():
         handles[a] = net.add_arc(a[0], a[1], v)
+    for u, v, c in _hub_arcs(weights or {}):
+        net.add_arc(u, v, c)
     src = ("relocate-src",)
     net.add_arc(src, new_root, R1)
     pushed = net.max_flow(src, sol.root)
@@ -182,56 +202,13 @@ def relocate_root(sol, new_root):
     return out
 
 
-def _relocate_hybrid(sol, weights, new_root):
-    """Root relocation during the decomposition: the unit flow may ride
-    through already-peeled components (hubs of throughput = weight), and
-    only the portion on real arcs gets reversed (components carry flow in
-    any direction for free)."""
-    if new_root == sol.root:
-        return sol
-    net = FlowNet()
-    handles = {}
-    for a, v in sol.x.items():
-        handles[a] = net.add_arc(a[0], a[1], v)
-    for i, (comp, w) in enumerate(sorted(weights.items(),
-                                         key=lambda cw: cw[0].edges)):
-        hub = ("hub", i)
-        for t in sorted(comp.terminals):
-            net.add_arc(t, hub, w)
-            net.add_arc(hub, t, w)
-    src = ("relocate-src",)
-    net.add_arc(src, new_root, R1)
-    pushed = net.max_flow(src, sol.root)
-    if pushed != 1:
-        raise DecompositionError("no unit flow from new root to old root",
-                                 {"pushed": pushed})
-    x2 = dict(sol.x)
-    for a, fwd in handles.items():
-        f = sol.x[a] - fwd[1]
-        if f != 0:
-            ra = (a[1], a[0])
-            x2[a] = x2.get(a, R0) - f
-            x2[ra] = x2.get(ra, R0) + f
-    out = BcrSolution(sol.instance, new_root, x2)
-    assert out.objective == sol.objective
-    return out
-
-
 def _check_transfer_feasible(sol, weights):
     """Remaining capacities plus the components peeled so far must still
     support a unit flow from every terminal to the root (each emitted
     component acts as a hub of throughput = its weight between its
     terminals)."""
-    base = []
-    for a, v in sol.x.items():
-        if v > 0:
-            base.append((a[0], a[1], v))
-    for i, (comp, w) in enumerate(sorted(weights.items(),
-                                         key=lambda cw: cw[0].edges)):
-        hub = ("hub", i)
-        for t in comp.terminals:
-            base.append((t, hub, w))
-            base.append((hub, t, w))
+    base = [(a[0], a[1], v) for a, v in sol.x.items() if v > 0]
+    base += _hub_arcs(weights)
     for t in sorted(sol.instance.terminals):
         if t == sol.root:
             continue
@@ -274,7 +251,7 @@ def natural_decomposition(sol, check=False):
                     raise DecompositionError("transfer loop exceeded step bound",
                                              {"steps": steps})
                 r = min(star, key=lambda s: (inst.costs[edge_key(u, s)], s))
-                sol = _relocate_hybrid(sol, weights, r)
+                sol = relocate_root(sol, r, weights)
                 inflow = [s for s in star if s != r and sol.x.get((s, u), R0) > 0]
                 H = [(u, r)] + [(s, u) for s in inflow]
                 eps = min(sol.x.get(a, R0) for a in H)

@@ -120,15 +120,7 @@ def cmd_split(args):
     inst = _load(args.file)
     sol = _solve(inst, args.k, args.mode)
     X = hyperlp.blowup_from_solution(inst, sol)
-    if args.strategy == "quasi":
-        state = splitting.quasi_bipartite_splitting_set(X)
-    else:
-        Xb = splitting.binarize(X)
-        if args.strategy == "dp":
-            state_b = splitting.optimal_splitting_set(Xb)
-        else:
-            state_b = splitting.random_splitting_set(Xb, seed=args.seed)
-        state = splitting.map_back(X, Xb, state_b)
+    state = splitting.splitting_set(X, args.strategy, args.seed)
     payload = {
         "n": X.N,
         "strategy": args.strategy,
@@ -162,8 +154,7 @@ def cmd_decompose(args):
     inst = _load(args.file)
     sol = _solve(inst, args.k, args.mode)
     X = hyperlp.blowup_from_solution(inst, sol)
-    Xb = splitting.binarize(X)
-    state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
+    state = splitting.splitting_set(X, "dp")
     F = frozenset(sorted(state.K)[:args.remove])
     sf = partition_decomp.slack_set_function(X, F)
     if not sf.is_nonnegative():
@@ -232,16 +223,14 @@ def _verify_separation(seed):
 
 def _verify_uniform(seed):
     inst, X = _small_blowup(seed)
-    Xb = splitting.binarize(X)
-    state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
+    state = splitting.splitting_set(X, "dp")
     ok, _ = removal_matroid.verify_uniform_point(X, state.K, mode="exhaustive")
     return ok
 
 
 def _verify_decomposition(seed):
     inst, X = _small_blowup(seed)
-    Xb = splitting.binarize(X)
-    state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
+    state = splitting.splitting_set(X, "dp")
     import itertools
     K = sorted(state.K)
     for r in range(1, min(2, len(K)) + 1):
@@ -276,8 +265,7 @@ def _verify_splitting(seed):
     inst, X = _small_blowup(seed)
     if sum(len(c.edge_ids) for c in X.copies) > 9:
         return True
-    Xb = splitting.binarize(X)
-    state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
+    state = splitting.splitting_set(X, "dp")
     best = min(splitting.compute_witnesses_and_weights(X, K).potential
                for K in oracles.enumerate_splitting_sets(X))
     return state.potential == best

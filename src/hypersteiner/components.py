@@ -49,27 +49,6 @@ class Component:
         return "Component(R=%s, cost=%s)" % (sorted(self.terminals), self.cost)
 
 
-def _dijkstra(adj, source, nodes):
-    dist = {v: None for v in nodes}
-    prev = {v: None for v in nodes}
-    dist[source] = R0
-    # heap keyed by float for speed; exact values kept alongside
-    heap = [(0.0, source)]
-    done = set()
-    while heap:
-        _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for w, c in adj[u]:
-            nd = dist[u] + c
-            if dist[w] is None or nd < dist[w]:
-                dist[w] = nd
-                prev[w] = u
-                heapq.heappush(heap, (float(nd), w))
-    return dist, prev
-
-
 def _steiner_dp(nodes, adj, sources):
     """Dreyfus-Wagner over the given graph for the terminal list `sources`.
 
@@ -80,15 +59,8 @@ def _steiner_dp(nodes, adj, sources):
     k = len(sources)
     full = (1 << k) - 1
     nodes = sorted(nodes)
-    INF = None
     dp = [dict() for _ in range(full + 1)]
     back = [dict() for _ in range(full + 1)]
-
-    sp = {}  # single-source shortest paths, computed on demand
-    def paths(v):
-        if v not in sp:
-            sp[v] = _dijkstra(adj, v, nodes)
-        return sp[v]
 
     for i, t in enumerate(sources):
         dp[1 << i][t] = R0

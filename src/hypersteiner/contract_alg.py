@@ -15,8 +15,8 @@ The potential Phi = sum c(e) H(|W(e)|) drops by at least w(B^Q) per
 iteration, which telescopes to: output cost <= Phi_initial / N.
 """
 
-from .ratio import Rat, R0, harmonic
-from .instance import SteinerTree, edge_key
+from .ratio import R0
+from .instance import SteinerTree, UnionFind
 from .components import enumerate_components
 from .hyperlp import solve_lp_exact, blowup_from_solution
 from . import splitting as _split
@@ -30,28 +30,20 @@ class InvariantViolation(AssertionError):
 class AlgorithmState:
     """Whole-value state of one contraction run."""
 
-    __slots__ = ("X", "K", "witness", "weights", "tree_edges", "log",
-                 "oracle", "check")
+    __slots__ = ("X", "K", "witness", "weights", "tree_edges", "log", "check")
 
-    def __init__(self, X, split_state, oracle="scan", check=False):
+    def __init__(self, X, split_state, check=False):
         self.X = X
         self.K = set(split_state.K)
         self.witness = dict(split_state.witness)
         self.weights = dict(split_state.weights)
         self.tree_edges = set()
         self.log = []
-        self.oracle = oracle
         self.check = check
 
     @property
     def potential(self):
-        phi = R0
-        for eid, e in self.X.edges.items():
-            if eid in self.K:
-                phi += e.cost
-            else:
-                phi += e.cost * harmonic(len(self.witness[eid]))
-        return phi
+        return _split.potential(self.X, self.K, self.witness)
 
     def done(self):
         return len(self.X.R) <= 1
@@ -78,7 +70,7 @@ def select_component(state):
     best = None
     for T in sorted(groups, key=lambda T: groups[T][1].id):
         cost, copy = groups[T]
-        M = RemovalMatroid(X, T, groundset=state.K, mode=state.oracle)
+        M = RemovalMatroid(X, T, groundset=state.K, mode="scan")
         B = greedy_max_weight_basis(M, state.weights)
         score = sum((state.weights[e] for e in B), R0) / X.N - cost
         if best is None or score > best[0]:
@@ -114,7 +106,6 @@ def contract_step(state, Q, B):
     new_state.weights = _reweigh(X2, new_state.K, new_state.witness)
     new_state.tree_edges = state.tree_edges
     new_state.log = state.log
-    new_state.oracle = state.oracle
     new_state.check = state.check
 
     phi_after = new_state.potential
@@ -167,8 +158,7 @@ def _full_check(state):
             raise InvariantViolation("incremental weight update diverged")
 
 
-def run(instance, k=None, strategy="dp", seed=0, lp_mode="auto",
-        oracle="scan", check=False):
+def run(instance, k=None, strategy="dp", seed=0, lp_mode="auto", check=False):
     """Full pipeline: LP -> blowup -> splitting set -> contraction loop.
 
     strategy: "dp" (minimum-potential splitting set), "random", or
@@ -177,25 +167,16 @@ def run(instance, k=None, strategy="dp", seed=0, lp_mode="auto",
     comps = enumerate_components(instance, k)
     sol = solve_lp_exact(instance, comps, mode=lp_mode)
     return run_from_solution(instance, sol, strategy=strategy, seed=seed,
-                             oracle=oracle, check=check,
-                             n_components=len(comps))
+                             check=check, n_components=len(comps))
 
 
-def run_from_solution(instance, sol, strategy="dp", seed=0, oracle="scan",
-                      check=False, n_components=None):
+def run_from_solution(instance, sol, strategy="dp", seed=0, check=False,
+                      n_components=None):
     """Contraction loop for any feasible fractional solution (the LP
     optimum or a hand-built feasible point)."""
     X0 = blowup_from_solution(instance, sol)
-    if strategy == "quasi":
-        st = _split.quasi_bipartite_splitting_set(X0)
-    elif strategy in ("dp", "random"):
-        Xb = _split.binarize(X0)
-        stb = (_split.optimal_splitting_set(Xb) if strategy == "dp"
-               else _split.random_splitting_set(Xb, seed))
-        st = _split.map_back(X0, Xb, stb)
-    else:
-        raise ValueError("unknown strategy %r" % strategy)
-    state = AlgorithmState(X0, st, oracle=oracle, check=check)
+    st = _split.splitting_set(X0, strategy, seed)
+    state = AlgorithmState(X0, st, check=check)
     phi0 = state.potential
     guard = len(state.K) + 1
     while not state.done():
@@ -227,20 +208,10 @@ def run_from_solution(instance, sol, strategy="dp", seed=0, oracle="scan",
 def _prune_to_tree(instance, edges):
     """Spanning tree of the accumulated edge set, non-terminal leaves
     removed (cheapest-first Kruskal, ties by edge key)."""
-    touched = sorted({v for e in edges for v in e})
-    parent = {v: v for v in touched}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    uf = UnionFind(sorted({v for e in edges for v in e}))
     tree = set()
     for e in sorted(edges, key=lambda e: (instance.costs[e], e)):
-        ru, rv = find(e[0]), find(e[1])
-        if ru != rv:
-            parent[ru] = rv
+        if uf.union(e[0], e[1]):
             tree.add(e)
     changed = True
     while changed:

@@ -27,7 +27,7 @@ import itertools
 import numpy as np
 
 from .ratio import Rat, R0, lcm_denominators
-from .components import Component
+from .instance import UnionFind
 
 TABLE_TERMINAL_CAP = 16
 
@@ -71,8 +71,7 @@ class BlowupGraph:
     bookkeeping (splitting sets, witness sets) survives them.
     """
 
-    def __init__(self, N, terminals, copies, edges, next_vid, next_eid, next_cid,
-                 shared_memo=None):
+    def __init__(self, N, terminals, copies, edges, next_vid, next_eid, next_cid):
         self.N = N
         self.R = frozenset(terminals)
         self.copies = list(copies)
@@ -82,8 +81,7 @@ class BlowupGraph:
         self._next_cid = next_cid
         self.terminal_order = tuple(sorted(self.R))
         self._tidx = {t: i for i, t in enumerate(self.terminal_order)}
-        self._memo = {} if shared_memo is None else shared_memo
-        self._tables = None
+        self._memo = {}
 
     # ---- basic accessors -------------------------------------------------
 
@@ -115,20 +113,12 @@ class BlowupGraph:
     def copy_pieces(self, copy, removed):
         """Split one copy by removing `removed` (edge ids); returns a list of
         (vertex tuple, edge id tuple) pieces, single vertices included."""
-        parent = {v: v for v in copy.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+        uf = UnionFind(copy.vertices)
         kept = [e for e in copy.edge_ids if e not in removed]
         for eid in kept:
             e = self.edges[eid]
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[ru] = rv
+            uf.union(e.u, e.v)
+        find = uf.find
         verts = {}
         for v in copy.vertices:
             verts.setdefault(find(v), []).append(v)
@@ -184,17 +174,6 @@ class BlowupGraph:
             h -= self._copy_contrib(copy, loc)
         h[0] = 0
         return h
-
-    def slack(self, S, F=frozenset()):
-        """h(S) for one terminal subset, exact integer, no table."""
-        S = frozenset(S)
-        total = self.N * (len(S) - 1)
-        for copy in self.copies:
-            for vs, _ in self.copy_pieces(copy, set(F) & set(copy.edge_ids)):
-                c = sum(1 for v in vs if v in S)
-                if c > 1:
-                    total -= c - 1
-        return total
 
     def is_feasible(self, F=frozenset()):
         """LP feasibility of the blowup minus F: h >= 0 everywhere and
@@ -262,26 +241,6 @@ class BlowupGraph:
         return BlowupGraph(self.N, R, copies, new_edges,
                            self._next_vid + 1, self._next_eid, self._next_cid), z
 
-    def with_copies(self, copies, edges):
-        return BlowupGraph(self.N, self.R, copies, edges,
-                           self._next_vid, self._next_eid, self._next_cid)
-
-
-def build_blowup(instance, solution):
-    """Materialize a FractionalSolution as a BlowupGraph: N = lcm of the
-    value denominators, N*x_C copies per component."""
-    return blowup_from_solution(instance, solution)
-
-
-def add_component(X, terminals):
-    """Slack view of X * Q without materializing the N fresh Q-copies:
-    returns a function S-mask -> h table of the extended graph."""
-    q = X.term_mask(terminals)
-    base = X.slack_table()
-    pcm1 = X._pcm1()
-    idx = np.arange(len(base), dtype=np.int64)
-    return base - X.N * pcm1[idx & q]
-
 
 def add_component_slack_ok(X, terminals, B):
     """Is (X * Q) - B feasible?  B is removed from X's edges only; the fresh
@@ -319,9 +278,6 @@ class FractionalSolution:
                     return False
         total = sum((v * (len(c.terminals) - 1) for c, v in self.values.items()), R0)
         return total == len(R) - 1
-
-    def to_blowup(self, instance):
-        return blowup_from_solution(instance, self)
 
 
 def blowup_from_solution(instance, solution):
@@ -367,7 +323,6 @@ FULL_ENUM_CAP = 12
 def _lp_rows(components, terminal_order, masks):
     rows = []
     rhs = []
-    order = {t: i for i, t in enumerate(terminal_order)}
     cmasks = [c.bitmask(terminal_order) for c in components]
     for m in masks:
         row = []

@@ -22,6 +22,41 @@ def edge_key(u, v):
     return (u, v) if u < v else (v, u)
 
 
+class UnionFind:
+    """Disjoint sets over hashable items, with path halving.
+
+    union(u, v) hangs u's root below v's root.  Callers rely on that
+    choice: blowup copies order their pieces by representative, and the
+    ids of split copies follow that order."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, items):
+        self.parent = {v: v for v in items}
+
+    def find(self, v):
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(self, u, v):
+        """Merge the sets of u and v; False when they were already one.
+        find is inlined: slack tables call this once per blowup edge."""
+        parent = self.parent
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
+            return False
+        parent[u] = v
+        return True
+
+
 class SteinerInstance:
     """Undirected graph with positive rational edge costs and a terminal set."""
 
@@ -65,10 +100,6 @@ class SteinerInstance:
                     stack.append(w)
         return len(seen) == len(self.vertices)
 
-    @property
-    def steiner_vertices(self):
-        return self.vertices - self.terminals
-
     def neighbors(self, v):
         return self._adj[v]
 
@@ -76,9 +107,6 @@ class SteinerInstance:
         """True when no edge joins two non-terminal vertices."""
         t = self.terminals
         return all(u in t or v in t for (u, v) in self.costs)
-
-    def edge_cost(self, u, v):
-        return self.costs[edge_key(u, v)]
 
     def __repr__(self):
         return "SteinerInstance(|V|=%d, |E|=%d, |R|=%d)" % (
@@ -146,7 +174,7 @@ def parse_stp(text):
     """
     if isinstance(text, bytes):
         text = text.decode()
-    nodes = None
+    nodes = nodes_line = None
     costs = {}
     terminals = set()
     section = None
@@ -171,7 +199,11 @@ def parse_stp(text):
         elif section == "graph":
             saw_graph = True
             if head == "NODES":
-                nodes = int(toks[1])
+                try:
+                    nodes = int(toks[1])
+                except (IndexError, ValueError):
+                    raise STPParseError(lineno, "Nodes line needs a count")
+                nodes_line = lineno
             elif head in ("EDGES", "ARCS", "OBSTACLES"):
                 pass
             elif head in ("E", "A"):
@@ -208,11 +240,15 @@ def parse_stp(text):
         raise STPParseError(0, "missing Graph section")
     if not saw_terminals:
         raise STPParseError(0, "missing Terminals section")
+    touched = {v for e in costs for v in e}
     if nodes is None:
-        nodes = max((max(e) for e in costs), default=0)
-    vertices = set(range(1, nodes + 1))
-    for e in costs:
-        vertices.update(e)
+        nodes = max(touched, default=0)
+    elif nodes > len(touched):
+        # some vertex 1..nodes would be isolated; refuse before building
+        # a vertex set of that size
+        raise STPParseError(nodes_line, "Nodes %d exceeds the %d vertices the "
+                            "edges touch" % (nodes, len(touched)))
+    vertices = set(range(1, nodes + 1)) | touched
     try:
         return SteinerInstance(vertices, costs, terminals)
     except ValueError as exc:

@@ -20,8 +20,8 @@ R1 = Rat(1)
 LN4_UPPER = Rat(1386295, 1000000)
 
 # Classical lower bound footnote constant: a k-restricted relaxation can be
-# off by a factor 1 + 1/floor(log2 k); kept here for documentation and the
-# bench subcommand, never used in a correctness check.
+# off by a factor 1 + 1/floor(log2 k); kept here for documentation only,
+# never used by the pipeline or in a correctness check.
 def k_restriction_loss(k):
     if k < 2:
         raise ValueError("needs k >= 2")

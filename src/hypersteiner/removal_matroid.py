@@ -18,7 +18,7 @@ of total rank N(|Q|-1).  Three interchangeable oracles are provided:
 All three are exact and are cross-checked against each other in tests.
 """
 
-import random as _random
+import numpy as np
 
 from .ratio import R0
 from . import sepflow
@@ -34,36 +34,25 @@ class RemovalMatroid:
             raise ValueError("unknown oracle mode %r" % mode)
         self.mode = mode
         self.groundset = tuple(sorted(X.edges if groundset is None else groundset))
+        self._ground = frozenset(self.groundset)
         self.full_rank = X.N * (len(self.Q) - 1)
         self._gammoid = None
         if mode == "gammoid":
             self._gammoid = sepflow.GammoidOracle(X, self.Q)
-        self._qmask = X.term_mask(self.Q)
+        q = X.term_mask(self.Q)
+        masks = np.arange(1 << len(X.terminal_order), dtype=np.int64)
+        self._supersets = np.flatnonzero(masks & q == q)  # slack-table rows S >= Q
 
     def rank(self, F):
         F = frozenset(F)
-        if not F <= set(self.groundset):
+        if not F <= self._ground:
             raise ValueError("F outside the ground set")
         if self.mode == "gammoid":
             return self._gammoid.rank(F)
         if self.mode == "submodular":
             val, _ = sepflow.min_slack_over_supersets(self.X, self.Q, F)
             return val
-        h = self.X.slack_table(F)
-        q = self._qmask
-        best = None
-        for m in range(1, len(h)):
-            if m & q == q:
-                v = int(h[m])
-                if best is None or v < best:
-                    best = v
-        return best
-
-    def is_independent(self, F):
-        F = frozenset(F)
-        if len(F) > self.full_rank:
-            return False
-        return self.rank(F) == len(F)
+        return int(self.X.slack_table(F)[self._supersets].min())
 
     def bases(self):
         """All bases, by brute force over the ground set (test scale)."""
@@ -93,16 +82,17 @@ def greedy_max_weight_basis(M, w):
     return frozenset(B)
 
 
-def verify_uniform_point(X, K, mode="exhaustive", samples=200, seed=0,
-                         oracle="scan"):
+def verify_uniform_point(X, K, mode="exhaustive"):
     """Membership of the uniform vector (N/|pieces| on every edge of K) in
     the removable-set polytope, checked through its rank characterization:
-    sum over pieces Q of r_Q(F) >= |F| * N for every F (exhaustive over all
-    F subset of K, or a random sample).
+    sum over pieces Q of r_Q(F) >= |F| * N for every F subset of K
+    ("exhaustive", the only mode).
 
     Returns (ok, details) where details carries the worst margin seen.
     Also checks h_{X-F}(R) == |F| for every tested F (K splitting).
     """
+    if mode != "exhaustive":
+        raise ValueError("unknown mode %r" % mode)
     from .splitting import compute_witnesses_and_weights
     compute_witnesses_and_weights(X, K)  # raises if K is not a splitting set
     K = sorted(K)
@@ -112,7 +102,7 @@ def verify_uniform_point(X, K, mode="exhaustive", samples=200, seed=0,
         if len(T) >= 2:
             pieces_terms.append(T)
     npieces = len(X.copies)
-    matroids = [RemovalMatroid(X, T, mode=oracle) for T in pieces_terms]
+    matroids = [RemovalMatroid(X, T, mode="scan") for T in pieces_terms]
 
     def check(F):
         F = frozenset(F)
@@ -120,20 +110,13 @@ def verify_uniform_point(X, K, mode="exhaustive", samples=200, seed=0,
         hR = int(X.slack_table(F)[-1])
         return total - len(F) * X.N, hR == len(F)
 
+    if len(K) > 16:
+        raise ValueError("|K| too large for exhaustive mode")
+    import itertools
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(K, r) for r in range(len(K) + 1))
     worst = None
     ok = True
-    if mode == "exhaustive":
-        if len(K) > 16:
-            raise ValueError("|K| too large for exhaustive mode")
-        import itertools
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(K, r) for r in range(len(K) + 1))
-    elif mode == "sampled":
-        rng = _random.Random(seed)
-        subsets = ([K[i] for i in range(len(K)) if rng.random() < 0.5]
-                   for _ in range(samples))
-    else:
-        raise ValueError("unknown mode %r" % mode)
     for F in subsets:
         margin, h_ok = check(F)
         if worst is None or margin < worst:

@@ -92,29 +92,6 @@ class FlowNet:
                 v = arc[2][0]
             total += bott
 
-    def augment_unit(self, s, t):
-        """Try to push one more unit of flow; returns True on success."""
-        prev = {s: None}
-        q = deque([s])
-        while q and t not in prev:
-            u = q.popleft()
-            for arc in self.adj[u]:
-                v, cap, _ = arc
-                if cap > 0 and v not in prev:
-                    prev[v] = arc
-                    if v == t:
-                        break
-                    q.append(v)
-        if t not in prev:
-            return False
-        v = t
-        while prev[v] is not None:
-            arc = prev[v]
-            arc[1] -= 1
-            arc[2][1] += 1
-            v = arc[2][0]
-        return True
-
     def sink_side(self, t):
         """Nodes that still reach t in the residual graph (the minimal
         sink side of a minimum cut, after max_flow)."""
@@ -179,7 +156,9 @@ SNK = ("t",)
 SUPER = ("T*",)
 
 
-def _build_net(X, pieces, y, split_edges=False):
+def _build_net(X, pieces, y, Q, split_edges=False):
+    """Separation network of the pieces, with Q and the sink t feeding the
+    super sink.  split_edges turns every piece edge into a unit node."""
     net = FlowNet()
     for vs, eids in pieces:
         root = min(vs)
@@ -192,6 +171,9 @@ def _build_net(X, pieces, y, split_edges=False):
                 net.add_arc(("v", u), ("v", v), 1)
     for t, yv in y.items():
         net.add_arc(("v", t), SNK, yv)
+    for q in Q:
+        net.add_arc(("v", q), SUPER, INF)
+    net.add_arc(SNK, SUPER, INF)
     return net
 
 
@@ -205,10 +187,7 @@ def min_slack_over_supersets(X, Q, F=frozenset()):
     assert Q and Q <= X.R
     pieces = _pieces(X, F)
     y = terminal_loads(X, pieces)
-    net = _build_net(X, pieces, y)
-    for q in Q:
-        net.add_arc(("v", q), SUPER, INF)
-    net.add_arc(SNK, SUPER, INF)
+    net = _build_net(X, pieces, y, Q)
     flow = net.max_flow(SRC, SUPER)
     val = flow - sum(y.values()) - X.N
     side = net.sink_side(SUPER)
@@ -256,7 +235,8 @@ class GammoidOracle:
     gammoid: every edge becomes a unit-capacity node; the rank of an edge
     set U is rho(U + roots) - rho(roots) where rho(Z) is the max number of
     node-disjoint-ish paths from Z into Q union {t} (computed as max flow
-    from a super source whose arc capacities are the multiplicities)."""
+    from a super source with one unit arc per piece root and per edge of
+    U)."""
 
     def __init__(self, X, Q):
         self.X = X
@@ -264,30 +244,10 @@ class GammoidOracle:
         assert self.Q and self.Q <= X.R
         self.pieces = _pieces(X)
         self.y = terminal_loads(X, self.pieces)
-        self.roots = {}
-        for vs, _ in self.pieces:
-            r = min(vs)
-            self.roots[r] = self.roots.get(r, 0) + 1
         self.base = self._rho(())
 
-    def _net(self):
-        net = FlowNet()
-        for vs, eids in self.pieces:
-            root = min(vs)
-            for u, v, eid in _orient_away(self.X, vs, eids, root):
-                net.add_arc(("v", u), ("e", eid), 1)
-                net.add_arc(("e", eid), ("v", v), 1)
-        for t, yv in self.y.items():
-            net.add_arc(("v", t), SNK, yv)
-        for q in self.Q:
-            net.add_arc(("v", q), SUPER, INF)
-        net.add_arc(SNK, SUPER, INF)
-        return net
-
     def _rho(self, U):
-        net = self._net()
-        for r, mult in self.roots.items():
-            net.add_arc(SRC, ("v", r), mult)
+        net = _build_net(self.X, self.pieces, self.y, self.Q, split_edges=True)
         for eid in U:
             net.add_arc(SRC, ("e", eid), 1)
         return net.max_flow(SRC, SUPER)

@@ -24,7 +24,8 @@ Phi (per copy, over rooted partial trees).
 
 import random as _random
 
-from .ratio import Rat, R0, harmonic
+from .ratio import R0, harmonic
+from .instance import UnionFind
 from .hyperlp import BlowupGraph, BlowupEdge, BlowupCopy
 
 
@@ -46,16 +47,19 @@ class SplittingState:
 
     @property
     def potential(self):
-        phi = R0
-        for eid, e in self.X.edges.items():
-            if eid in self.K:
-                phi += e.cost
-            else:
-                phi += e.cost * harmonic(len(self.witness[eid]))
-        return phi
+        return potential(self.X, self.K, self.witness)
 
-    def weight_of(self, B):
-        return sum((self.weights[e] for e in B), R0)
+
+def potential(X, K, witness):
+    """Phi = sum over the edges of X of c(e) H(|W(e)|), with |W(e)| = 1
+    on the core edges K."""
+    phi = R0
+    for eid, e in X.edges.items():
+        if eid in K:
+            phi += e.cost
+        else:
+            phi += e.cost * harmonic(len(witness[eid]))
+    return phi
 
 
 # ---- witnesses and weights ----------------------------------------------
@@ -84,26 +88,17 @@ def _copy_witnesses(X, copy, K, witness):
     core = [e for e in copy.edge_ids if e in K]
     # cleanup forest: acyclic, every tree exactly one terminal, every
     # non-terminal covered
-    parent = {v: v for v in copy.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    uf = UnionFind(copy.vertices)
     adj = {v: [] for v in copy.vertices}
     for eid in cleanup:
         e = X.edges[eid]
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
+        if not uf.union(e.u, e.v):
             raise SplittingError("cleanup edges contain a cycle in copy %d" % copy.id)
-        parent[ru] = rv
         adj[e.u].append((e.v, eid))
         adj[e.v].append((e.u, eid))
     groups = {}
     for v in copy.vertices:
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(uf.find(v), []).append(v)
     term_of = {}
     for g in groups.values():
         ts = [v for v in g if v in X.R]
@@ -152,6 +147,20 @@ def _copy_witnesses(X, copy, K, witness):
 
 
 # ---- strategies ----------------------------------------------------------
+
+
+def splitting_set(X, strategy, seed=0):
+    """SplittingState of X by strategy: "quasi" (cheapest-edge rule on
+    star copies), or "dp" / "random" chosen on binarize(X) and carried
+    back to X with map_back."""
+    if strategy == "quasi":
+        return quasi_bipartite_splitting_set(X)
+    if strategy not in ("dp", "random"):
+        raise ValueError("unknown strategy %r" % strategy)
+    Xb = binarize(X)
+    state_b = (optimal_splitting_set(Xb) if strategy == "dp"
+               else random_splitting_set(Xb, seed))
+    return map_back(X, Xb, state_b)
 
 
 def quasi_bipartite_splitting_set(X):

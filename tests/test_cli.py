@@ -107,3 +107,15 @@ def test_identical_argv_byte_identical(stp_file):
         assert proc.returncode == 0
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
+
+
+def test_bare_nodes_line_exit_2_without_traceback(tmp_path):
+    p = tmp_path / "bare_nodes.stp"
+    p.write_text("33D32945 STP File, STP Format Version 1.0\n"
+                 "SECTION Graph\nNodes\nEdges 1\nE 1 2 3\nEND\n"
+                 "SECTION Terminals\nT 1\nT 2\nEND\nEOF\n")
+    proc = subprocess.run([sys.executable, "-m", "hypersteiner", "lp", str(p)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: line 3: ")

@@ -98,3 +98,59 @@ def test_generate_random_deterministic():
     a = generate_random(5, 3, 0.5, seed=99)
     b = generate_random(5, 3, 0.5, seed=99)
     assert a.costs == b.costs and a.terminals == b.terminals
+
+
+_BAD_NODES = """SECTION Graph
+%s
+E 1 2 1
+E 2 3 1
+END
+SECTION Terminals
+T 1
+T 3
+END
+EOF
+"""
+
+
+@pytest.mark.parametrize("nodes_line", ["Nodes", "Nodes x", "Nodes 4", "Nodes 100000"])
+def test_bad_nodes_line_names_its_line(nodes_line):
+    # a missing or non-integer count, or more nodes than the edges touch
+    # (an isolated vertex), is an error on the Nodes line itself
+    with pytest.raises(STPParseError) as exc:
+        parse_stp(_BAD_NODES % nodes_line)
+    assert exc.value.lineno == 2
+    assert str(exc.value).startswith("line 2: ")
+
+
+_NUM = st.integers(0, 50)
+_COST = st.one_of(
+    _NUM.map(str),
+    st.tuples(_NUM, _NUM).map(lambda t: "%d.%d" % t),
+    st.tuples(_NUM, _NUM).map(lambda t: "%d/%d" % t),
+    st.sampled_from(["x", "-3", "1/", "/2", "1.2.3", "1/2/3", "..", "E"]),
+)
+_ENTRY = st.tuples(st.sampled_from(["Nodes", "E", "T"]),
+                   st.lists(st.one_of(_NUM.map(str), _COST), max_size=4))
+_LINE = st.one_of(
+    _ENTRY.map(lambda t: " ".join([t[0]] + t[1])),
+    st.sampled_from(["SECTION Graph", "SECTION", "END", "EOF", "Edges 3",
+                     "Terminals 2", "# note", ""]),
+)
+# a section head, entries and maybe an END, so most lines land inside
+# the Graph and Terminals sections
+_SECTION = st.tuples(st.sampled_from(["Graph", "Terminals", "Comment"]),
+                     st.lists(_LINE, max_size=8), st.booleans())
+_DOC = st.lists(_SECTION, max_size=4).map(
+    lambda secs: [ln for name, body, end in secs
+                  for ln in ["SECTION " + name] + body + (["END"] if end else [])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOC)
+def test_parse_stp_fuzz_raises_only_parse_errors(lines):
+    try:
+        inst = parse_stp("\n".join(lines) + "\n")
+    except STPParseError:
+        return
+    assert isinstance(inst, SteinerInstance)
