@@ -151,6 +151,8 @@ def cmd_separate(args):
 
 
 def cmd_decompose(args):
+    if args.remove < 0:
+        raise ValueError("--remove must be >= 0, got %d" % args.remove)
     inst = _load(args.file)
     sol = _solve(inst, args.k, args.mode)
     X = hyperlp.blowup_from_solution(inst, sol)
@@ -179,8 +181,12 @@ def cmd_decompose(args):
 def _seed_range(spec):
     if ".." in spec:
         a, b = spec.split("..")
-        return range(int(a), int(b) + 1)
-    return range(0, int(spec))
+        seeds = range(int(a), int(b) + 1)
+    else:
+        seeds = range(0, int(spec))
+    if not seeds:
+        raise ValueError("--seed %s selects no seeds" % spec)
+    return seeds
 
 
 def _small_blowup(seed):

@@ -20,7 +20,7 @@ from .instance import SteinerTree, UnionFind
 from .components import enumerate_components
 from .hyperlp import solve_lp_exact, blowup_from_solution
 from . import splitting as _split
-from .removal_matroid import RemovalMatroid, greedy_max_weight_basis
+from .removal_matroid import RemovalMatroid, greedy_max_weight_basis, weight_order
 
 
 class InvariantViolation(AssertionError):
@@ -54,7 +54,8 @@ def select_component(state):
 
     Pieces are grouped by terminal set (the matroid only depends on it);
     each group is represented by its cheapest copy, ties to the smaller
-    copy id.  The winning score is asserted nonnegative."""
+    copy id.  The winning score is asserted nonnegative.  With check,
+    each group's basis is ranked again on a full slack table."""
     X = state.X
     groups = {}
     for copy in X.copies:
@@ -67,11 +68,16 @@ def select_component(state):
             groups[T] = (cost, copy)
     if not groups:
         raise InvariantViolation("no piece with two terminals but |R| > 1")
+    order = weight_order(state.K, state.weights)
     best = None
     for T in sorted(groups, key=lambda T: groups[T][1].id):
         cost, copy = groups[T]
         M = RemovalMatroid(X, T, groundset=state.K, mode="scan")
-        B = greedy_max_weight_basis(M, state.weights)
+        B = greedy_max_weight_basis(M, state.weights, order)
+        if state.check and M.rank(B) != M.full_rank:
+            raise InvariantViolation("greedy basis for terminals %s has rank "
+                                     "%d < %d on a full slack table"
+                                     % (sorted(T), M.rank(B), M.full_rank))
         score = sum((state.weights[e] for e in B), R0) / X.N - cost
         if best is None or score > best[0]:
             best = (score, copy, B)

@@ -18,8 +18,11 @@ X - F is split per copy; pieces never merge through shared terminals.
 x is LP-feasible iff h >= 0 on all nonempty S and h(R) = 0.
 
 Slack values for *all* subsets at once are produced as numpy int64
-tables indexed by terminal bitmask; per-copy piece contributions are
-memoized, which is what makes matroid rank scans affordable.
+tables indexed by terminal bitmask.  A table is N(|S| - 1) minus one
+contribution vector per copy, memoized per (copy shape, removed local
+edges).  Removing one more edge e changes only the vector of e's copy,
+so the removal-matroid greedy builds one table and then updates it by
+one copy delta per candidate edge; `edge_slots` locates that copy.
 """
 
 import itertools
@@ -82,6 +85,7 @@ class BlowupGraph:
         self.terminal_order = tuple(sorted(self.R))
         self._tidx = {t: i for i, t in enumerate(self.terminal_order)}
         self._memo = {}
+        self._slots = None
 
     # ---- basic accessors -------------------------------------------------
 
@@ -159,19 +163,32 @@ class BlowupGraph:
             self._memo[key] = v
         return v
 
+    def edge_slots(self):
+        """Edge id -> (index into self.copies, index into that copy's
+        edge_ids); built on first use."""
+        if self._slots is None:
+            self._slots = {e: (ci, i) for ci, copy in enumerate(self.copies)
+                           for i, e in enumerate(copy.edge_ids)}
+        return self._slots
+
     def slack_table(self, F=frozenset()):
         """numpy int64 vector of h(S) over all 2^|R| terminal masks (entry 0
-        is set to 0 by convention)."""
+        is set to 0 by convention).  Ids in F that are not edges of the
+        graph are ignored."""
         r = len(self.terminal_order)
         if r > TABLE_TERMINAL_CAP:
             raise ValueError("terminal set too large for slack tables")
         pcm1 = self._pcm1()
         pc = pcm1 + np.minimum(np.arange(1 << r, dtype=np.int64), 1)  # popcount via (x-1)+ + [x>0]
         h = self.N * (pc - 1)
-        F = set(F)
-        for copy in self.copies:
-            loc = frozenset(i for i, eid in enumerate(copy.edge_ids) if eid in F)
-            h -= self._copy_contrib(copy, loc)
+        slots = self.edge_slots()
+        removed = {}
+        for eid in F:
+            slot = slots.get(eid)
+            if slot is not None:
+                removed.setdefault(slot[0], set()).add(slot[1])
+        for ci, copy in enumerate(self.copies):
+            h -= self._copy_contrib(copy, frozenset(removed.get(ci, ())))
         h[0] = 0
         return h
 

@@ -116,18 +116,17 @@ class SteinerInstance:
 class SteinerTree:
     """A tree spanning the terminals of an instance (edge subset certificate)."""
 
-    __slots__ = ("instance", "edges", "cost")
+    __slots__ = ("edges", "cost")
 
     def __init__(self, instance, edges):
-        self.instance = instance
         self.edges = frozenset(edge_key(u, v) for (u, v) in edges)
         for e in self.edges:
             if e not in instance.costs:
                 raise ValueError("edge %s not in instance" % (e,))
         self.cost = sum((instance.costs[e] for e in self.edges), R0)
-        self._validate()
+        self._validate(instance.terminals)
 
-    def _validate(self):
+    def _validate(self, terminals):
         # connected on its support, acyclic, and spans all terminals
         touched = set()
         adj = {}
@@ -135,8 +134,8 @@ class SteinerTree:
             touched.update((u, v))
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
-        if not self.instance.terminals <= touched:
-            if len(self.instance.terminals) == 1 and not self.edges:
+        if not terminals <= touched:
+            if len(terminals) == 1 and not self.edges:
                 return
             raise ValueError("tree does not span all terminals")
         start = next(iter(touched))

@@ -9,7 +9,7 @@ import math
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional "gmpy2" extra
     from fractions import Fraction as Rat
 
 R0 = Rat(0)

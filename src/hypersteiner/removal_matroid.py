@@ -16,6 +16,9 @@ of total rank N(|Q|-1).  Three interchangeable oracles are provided:
                    contraction pipeline).
 
 All three are exact and are cross-checked against each other in tests.
+The greedy max-weight basis asks none of them: it keeps the slack table
+of X - B and adds one copy delta per candidate edge (see
+`greedy_max_weight_basis`).
 """
 
 import numpy as np
@@ -52,7 +55,11 @@ class RemovalMatroid:
         if self.mode == "submodular":
             val, _ = sepflow.min_slack_over_supersets(self.X, self.Q, F)
             return val
-        return int(self.X.slack_table(F)[self._supersets].min())
+        return self.table_rank(self.X.slack_table(F))
+
+    def table_rank(self, h):
+        """r_Q(F) read off h, the slack table of X - F."""
+        return int(h[self._supersets].min())
 
     def bases(self):
         """All bases, by brute force over the ground set (test scale)."""
@@ -65,17 +72,41 @@ class RemovalMatroid:
         return out
 
 
-def greedy_max_weight_basis(M, w):
-    """Greedy basis of M maximizing total weight: weights descending,
-    ties by edge id; each edge kept when independence is preserved.
-    Raises if the ground set does not contain a basis."""
-    order = sorted(M.groundset, key=lambda e: (-w.get(e, R0), e))
+def weight_order(edges, w):
+    """Edges by weight descending, ties by edge id ascending (a stable
+    descending sort of the id-sorted edges)."""
+    return sorted(sorted(edges), key=lambda e: w.get(e, R0), reverse=True)
+
+
+def greedy_max_weight_basis(M, w, order=None):
+    """Greedy basis of M maximizing total weight: edges in `order`
+    (default weight_order(M.groundset, w); callers building several bases
+    over one ground set sort it once), each kept when independence is
+    preserved.  Raises if the ground set does not contain a basis.
+
+    Whatever M's oracle, independence is read off slack tables: h starts
+    as the table of X, and the table of X - (B + e) is h plus the old and
+    minus the new contribution vector of e's copy, so B + e is
+    independent iff its superset minimum over Q is |B| + 1."""
+    X = M.X
+    if order is None:
+        order = weight_order(M.groundset, w)
+    slots = X.edge_slots()
+    h = X.slack_table()
+    removed = {}  # copy index -> local indices of B's edges in that copy
     B = set()
     for e in order:
         if len(B) == M.full_rank:
             break
-        if M.rank(B | {e}) == len(B) + 1:
+        ci, i = slots[e]
+        copy = X.copies[ci]
+        old = removed.get(ci, frozenset())
+        new = old | {i}
+        h_e = h + X._copy_contrib(copy, old) - X._copy_contrib(copy, new)
+        if M.table_rank(h_e) == len(B) + 1:
             B.add(e)
+            h = h_e
+            removed[ci] = new
     if len(B) != M.full_rank:
         raise ValueError("ground set is rank deficient: %d < %d"
                          % (len(B), M.full_rank))
@@ -105,10 +136,9 @@ def verify_uniform_point(X, K, mode="exhaustive"):
     matroids = [RemovalMatroid(X, T, mode="scan") for T in pieces_terms]
 
     def check(F):
-        F = frozenset(F)
-        total = sum(m.rank(F) for m in matroids)
-        hR = int(X.slack_table(F)[-1])
-        return total - len(F) * X.N, hR == len(F)
+        h = X.slack_table(F)
+        total = sum(m.table_rank(h) for m in matroids)
+        return total - len(F) * X.N, int(h[-1]) == len(F)
 
     if len(K) > 16:
         raise ValueError("|K| too large for exhaustive mode")

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from hypersteiner.ratio import Rat
-from hypersteiner.instance import SteinerInstance, generate_random
+from hypersteiner.instance import SteinerInstance, UnionFind, generate_random
 from hypersteiner.components import enumerate_components
 from hypersteiner import hyperlp
 
@@ -26,6 +28,30 @@ def fractional_solution_n2():
         {by_terms[frozenset([1, 2, 3])]: Rat(1, 2),
          by_terms[frozenset([1, 2])]: Rat(1, 2),
          by_terms[frozenset([2, 3])]: Rat(1, 2)})
+    assert sol.check_feasible()
+    return inst, sol
+
+
+def mixed_hypertree_point(seed, trees):
+    """Equal-weight mixture of `trees` random spanning hypertrees of full
+    components of a small random instance.  Each hypertree is an integral
+    LP point, so the mixture is feasible; N > 1 unless the hypertrees
+    coincide."""
+    rng = random.Random(seed)
+    inst = generate_random(3 + seed % 2, 1 + seed % 3, 0.5, seed=seed)
+    comps = sorted(enumerate_components(inst),
+                   key=lambda c: (sorted(c.terminals), c.edges))
+    values = {}
+    for _ in range(trees):
+        rng.shuffle(comps)
+        uf = UnionFind(inst.terminals)
+        for c in comps:
+            ts = sorted(c.terminals)
+            if len({uf.find(t) for t in ts}) == len(ts):
+                for t in ts[1:]:
+                    uf.union(t, ts[0])
+                values[c] = values.get(c, 0) + Rat(1, trees)
+    sol = hyperlp.FractionalSolution(inst.terminals, values)
     assert sol.check_feasible()
     return inst, sol
 

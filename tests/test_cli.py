@@ -119,3 +119,20 @@ def test_bare_nodes_line_exit_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: line 3: ")
+
+
+def test_decompose_negative_remove_exit_2(stp_file, capsys):
+    code = cli.main(["decompose", stp_file, "--remove", "-1", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --remove must be >= 0")
+
+
+@pytest.mark.parametrize("spec", ["5..2", "0", "3..-1"])
+def test_verify_empty_seed_range_exit_2(spec, capsys):
+    code = cli.main(["verify", "separation", "--seed", spec, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "selects no seeds" in captured.err

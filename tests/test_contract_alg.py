@@ -1,10 +1,12 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat, LN4_UPPER
 from hypersteiner.instance import generate_random
 from hypersteiner import contract_alg, oracles
 
-from conftest import fractional_solution_n2, triangle_star_instance
+from conftest import (fractional_solution_n2, mixed_hypertree_point,
+                      triangle_star_instance)
 
 
 @settings(max_examples=12, deadline=None)
@@ -62,3 +64,16 @@ def test_mst_comparison_reported_not_asserted():
     exact, _ = oracles.exact_steiner_tree(inst)
     assert mst.cost <= 2 * exact
     # no ordering between mst and the algorithm output is claimed
+
+
+def test_check_mode_rejects_dependent_basis(monkeypatch):
+    """check=True re-ranks every greedy basis on a full slack table, so a
+    basis that is not independent raises instead of being contracted."""
+    inst, sol = mixed_hypertree_point(1, 3)
+
+    def first_edges(M, w, order=None):
+        return frozenset(sorted(M.groundset)[:M.full_rank])
+
+    monkeypatch.setattr(contract_alg, "greedy_max_weight_basis", first_edges)
+    with pytest.raises(contract_alg.InvariantViolation, match="greedy basis"):
+        contract_alg.run_from_solution(inst, sol, check=True)

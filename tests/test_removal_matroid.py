@@ -1,11 +1,12 @@
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat
 from hypersteiner import hyperlp, splitting, removal_matroid, oracles
 
-from conftest import small_blowup, fractional_solution_n2
+from conftest import small_blowup, fractional_solution_n2, mixed_hypertree_point
 
 
 def _termsets(X):
@@ -80,6 +81,39 @@ def test_greedy_basis_is_max_weight():
                    for cand in oracles.enumerate_minimal_removals(X, Q)
                    if frozenset(cand) <= frozenset(st_.K))
         assert sum((w[e] for e in B), Rat(0)) == best
+
+
+def _rank_greedy(M, w):
+    B = set()
+    for e in sorted(M.groundset, key=lambda e: (-w[e], e)):
+        if M.rank(B | {e}) == len(B) + 1:
+            B.add(e)
+    return frozenset(B)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_greedy_basis_on_fractional_points(seed):
+    """N >= 2: the table-delta greedy picks the same basis as a greedy
+    asking the gammoid rank oracle, and that basis has maximum weight."""
+    if seed % 5 == 0:
+        inst, sol = fractional_solution_n2()
+    else:
+        inst, sol = mixed_hypertree_point(seed % 500, 2 + seed % 2)
+    X = hyperlp.blowup_from_solution(inst, sol)
+    if X.N < 2 or len(X.edges) > 12:
+        return
+    rng = random.Random(seed)
+    K = splitting.splitting_set(X, "dp").K
+    for Q in _termsets(X):
+        minimal = [frozenset(b) for b in oracles.enumerate_minimal_removals(X, Q)]
+        for ground in (K, frozenset(X.edges)):
+            w = {e: Rat(rng.randint(0, 3), rng.randint(1, 2)) for e in ground}
+            M = removal_matroid.RemovalMatroid(X, Q, groundset=ground, mode="gammoid")
+            B = removal_matroid.greedy_max_weight_basis(M, w)
+            assert B == _rank_greedy(M, w)
+            best = max(sum((w[e] for e in b), Rat(0)) for b in minimal if b <= ground)
+            assert sum((w[e] for e in B), Rat(0)) == best
 
 
 def test_uniform_point_exhaustive():
