@@ -6,7 +6,8 @@ seeded benchmarks.
 All rationals in JSON output are {"num", "den", "decimal"}; output keys
 are sorted, so identical argv + seeds give byte-identical output (bench
 omits wall times unless asked, for the same reason).  Exit codes:
-0 success, 1 violated invariant or failed verification, 2 usage error.
+0 success, 1 violated invariant or failed verification, 2 usage error;
+an exception with a `details` attribute adds one JSON line on stderr.
 """
 
 import argparse
@@ -21,9 +22,15 @@ from . import hyperlp, sepflow, splitting, contract_alg, bcr_quasi
 from . import partition_decomp, removal_matroid, oracles
 
 
-def _load(path):
+def _load(path, strategy=None):
     with open(path) as fh:
-        return inst_mod.parse_stp(fh.read())
+        inst = inst_mod.parse_stp(fh.read())
+    # the cheapest-edge rule and its 73/60 bound hold on quasi-bipartite
+    # graphs only; elsewhere its splitting fails on a non-star component
+    if strategy == "quasi" and not inst.is_quasi_bipartite():
+        raise ValueError("--strategy quasi needs a quasi-bipartite instance "
+                         "(an edge joins two Steiner vertices)")
+    return inst
 
 
 def _edge_json(e):
@@ -78,7 +85,7 @@ def cmd_lp(args):
 
 
 def cmd_run(args):
-    inst = _load(args.file)
+    inst = _load(args.file, args.strategy)
     tree, cert = contract_alg.run(inst, k=args.k, strategy=args.strategy,
                                   seed=args.seed, lp_mode=args.mode,
                                   check=args.check)
@@ -117,7 +124,7 @@ def cmd_bcr(args):
 
 
 def cmd_split(args):
-    inst = _load(args.file)
+    inst = _load(args.file, args.strategy)
     sol = _solve(inst, args.k, args.mode)
     X = hyperlp.blowup_from_solution(inst, sol)
     state = splitting.splitting_set(X, args.strategy, args.seed)
@@ -414,6 +421,28 @@ def build_parser():
     return ap
 
 
+def _details_json(v):
+    """Exception details as JSON values: rationals through rat_to_json,
+    tuples as lists, dict keys as strings."""
+    if isinstance(v, dict):
+        return {str(k): _details_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_details_json(x) for x in v]
+    if v is None or isinstance(v, (int, str)):
+        return v
+    return rat_to_json(v)
+
+
+def _report(prefix, exc):
+    """The error line on stderr, then, for an exception with a `details`
+    attribute (its witness data), one JSON line: type, message, details."""
+    print("%s: %s" % (prefix, exc), file=sys.stderr)
+    if hasattr(exc, "details"):
+        print(json.dumps({"type": type(exc).__name__, "message": str(exc),
+                          "details": _details_json(exc.details)},
+                         sort_keys=True), file=sys.stderr)
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -421,10 +450,10 @@ def main(argv=None):
         return args.fn(args)
     except (AssertionError, bcr_quasi.DecompositionError,
             contract_alg.InvariantViolation, splitting.SplittingError) as exc:
-        print("invariant violated: %s" % exc, file=sys.stderr)
+        _report("invariant violated", exc)
         return 1
     except (inst_mod.STPParseError, ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        _report("error", exc)
         return 2
 
 

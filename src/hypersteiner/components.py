@@ -7,6 +7,11 @@ terminals deleted (dynamic program over terminal subsets), reconstruct
 an optimal tree, and keep it only if it has the full-component shape
 after pruning zero-cost non-terminal leaves.
 
+The dynamic program runs on Python ints: costs are multiplied once per
+instance by L, the lcm of their denominators, and converted back once.
+`min_component_cost` returns the DP value over L; a component's cost is
+the exact sum of its edge costs, asserted equal to that value.
+
 Footnote for context: restricting attention to components with at most k
 terminals loses at most a factor 1 + 1/floor(log2 k) in the LP value;
 we default to k = |R| so nothing is lost.
@@ -15,7 +20,7 @@ we default to k = |R| so nothing is lost.
 import heapq
 import itertools
 
-from .ratio import Rat, R0
+from .ratio import Rat, R0, lcm_denominators
 from .instance import edge_key
 
 FULL_ENUM_TERMINAL_CAP = 16
@@ -52,9 +57,11 @@ class Component:
 def _steiner_dp(nodes, adj, sources):
     """Dreyfus-Wagner over the given graph for the terminal list `sources`.
 
+    `adj` maps each node to (neighbour, cost) pairs with int costs.
     Returns (best_cost, edge_set) for a minimum tree connecting all of
     `sources`, or (None, None) if they are not connected.  Tie-breaking is
-    deterministic: vertices scanned in sorted order, submasks ascending.
+    deterministic: vertices scanned in sorted order, submasks ascending,
+    Dijkstra pops by (exact distance, vertex).
     """
     k = len(sources)
     full = (1 << k) - 1
@@ -63,13 +70,11 @@ def _steiner_dp(nodes, adj, sources):
     back = [dict() for _ in range(full + 1)]
 
     for i, t in enumerate(sources):
-        dp[1 << i][t] = R0
+        dp[1 << i][t] = 0
         back[1 << i][t] = ("base",)
 
     for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            pass
-        else:
+        if mask & (mask - 1):
             # merge two sub-trees at a common vertex
             sub = (mask - 1) & mask
             while sub:
@@ -88,7 +93,7 @@ def _steiner_dp(nodes, adj, sources):
         # grow along shortest paths: one Dijkstra over the dp layer
         dist = {v: dp[mask].get(v) for v in nodes}
         origin = {v: v if dist[v] is not None else None for v in nodes}
-        heap = [(float(d), v) for v, d in dist.items() if d is not None]
+        heap = [(d, v) for v, d in dist.items() if d is not None]
         heapq.heapify(heap)
         done = set()
         prev = {v: None for v in nodes}
@@ -103,7 +108,7 @@ def _steiner_dp(nodes, adj, sources):
                     dist[w] = nd
                     prev[w] = u
                     origin[w] = origin[u]
-                    heapq.heappush(heap, (float(nd), w))
+                    heapq.heappush(heap, (nd, w))
         for v in nodes:
             if dist[v] is None:
                 continue
@@ -149,6 +154,28 @@ def _steiner_dp(nodes, adj, sources):
     return best, edges
 
 
+def _int_adjacency(inst):
+    """(L, adj): L is the lcm of the cost denominators and adj maps every
+    vertex to (neighbour, cost * L) pairs, the costs as Python ints."""
+    L = lcm_denominators(inst.costs.values())
+    adj = {v: [(w, int(c * L)) for (w, c) in inst.neighbors(v)]
+           for v in inst.vertices}
+    return L, adj
+
+
+def _min_tree(inst, iadj, S):
+    """Dreyfus-Wagner for the sorted terminal list S on the int adjacency
+    `iadj`, with all other terminals deleted: (scaled cost, edges), or
+    (None, None) if S cannot be connected there."""
+    banned = inst.terminals - set(S)
+    nodes = [v for v in inst.vertices if v not in banned]
+    nodeset = set(nodes)
+    if any(t not in nodeset for t in S):
+        return None, None
+    adj = {v: [(w, c) for (w, c) in iadj[v] if w in nodeset] for v in nodes}
+    return _steiner_dp(nodes, adj, S)
+
+
 def min_component_cost(inst, terminal_subset, return_tree=False):
     """Minimum Steiner tree for `terminal_subset` in the graph with all
     other terminals removed.  Returns cost (and optionally the edge set),
@@ -156,19 +183,15 @@ def min_component_cost(inst, terminal_subset, return_tree=False):
     S = sorted(terminal_subset)
     if len(S) < 2:
         raise ValueError("need at least 2 terminals in the subset")
-    banned = inst.terminals - set(S)
-    nodes = [v for v in inst.vertices if v not in banned]
-    nodeset = set(nodes)
-    adj = {v: [(w, c) for (w, c) in inst.neighbors(v) if w in nodeset] for v in nodes}
-    if any(t not in nodeset for t in S):
+    L, iadj = _int_adjacency(inst)
+    best, edges = _min_tree(inst, iadj, S)
+    if best is None:
         return (None, None) if return_tree else None
-    cost, edges = _steiner_dp(nodes, adj, S)
-    if cost is None:
-        return (None, None) if return_tree else None
+    cost = Rat(best, L)
     return (cost, edges) if return_tree else cost
 
 
-def _as_full_component(inst, S, edges, cost):
+def _as_full_component(inst, S, edges):
     """Prune zero-cost non-terminal leaves, then accept only if leaves are
     exactly S and internal vertices are non-terminals."""
     deg = {}
@@ -222,15 +245,18 @@ def enumerate_components(inst, max_size=None):
     if len(R) > FULL_ENUM_TERMINAL_CAP:
         raise ValueError("too many terminals for full enumeration (cap %d)"
                          % FULL_ENUM_TERMINAL_CAP)
+    L, iadj = _int_adjacency(inst)
     out = []
     for size in range(2, max_size + 1):
         for S in itertools.combinations(R, size):
-            got = min_component_cost(inst, S, return_tree=True)
-            cost, edges = got
-            if cost is None:
+            best, edges = _min_tree(inst, iadj, S)
+            if best is None:
                 continue
-            comp = _as_full_component(inst, S, edges, cost)
+            comp = _as_full_component(inst, S, edges)
             if comp is not None:
+                # costs are positive, so the optimal tree counts no edge
+                # twice and its realized cost is the DP value scaled back
+                assert comp.cost == Rat(best, L), (S, comp.cost, best, L)
                 out.append(comp)
     order = {t: i for i, t in enumerate(R)}
     out.sort(key=lambda c: (len(c.terminals),
