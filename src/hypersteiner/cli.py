@@ -72,14 +72,14 @@ def _log_json(entry):
     return out
 
 
-def _solve(inst, k, mode):
+def _solve(inst, k):
     comps = comp_mod.enumerate_components(inst, max_size=k)
-    return hyperlp.solve_lp_exact(inst, comps, mode=mode)
+    return hyperlp.solve_lp_exact(inst, comps)
 
 
 def cmd_lp(args):
     inst = _load(args.file)
-    sol = _solve(inst, args.k, args.mode)
+    sol = _solve(inst, args.k)
     _emit(args, _solution_json(sol))
     return 0
 
@@ -87,8 +87,7 @@ def cmd_lp(args):
 def cmd_run(args):
     inst = _load(args.file, args.strategy)
     tree, cert = contract_alg.run(inst, k=args.k, strategy=args.strategy,
-                                  seed=args.seed, lp_mode=args.mode,
-                                  check=args.check)
+                                  seed=args.seed, check=args.check)
     lp = cert["lp_value"]
     ratio = cert["tree_cost"] / lp if lp > 0 else Rat(1)
     bound = Rat(73, 60) if args.strategy == "quasi" else LN4_UPPER
@@ -125,7 +124,7 @@ def cmd_bcr(args):
 
 def cmd_split(args):
     inst = _load(args.file, args.strategy)
-    sol = _solve(inst, args.k, args.mode)
+    sol = _solve(inst, args.k)
     X = hyperlp.blowup_from_solution(inst, sol)
     state = splitting.splitting_set(X, args.strategy, args.seed)
     payload = {
@@ -144,7 +143,7 @@ def cmd_split(args):
 
 def cmd_separate(args):
     inst = _load(args.file)
-    sol = _solve(inst, args.k, args.mode)
+    sol = _solve(inst, args.k)
     X = hyperlp.blowup_from_solution(inst, sol)
     mask = sepflow.most_violated_mask(X)
     minima = []
@@ -161,7 +160,7 @@ def cmd_decompose(args):
     if args.remove < 0:
         raise ValueError("--remove must be >= 0, got %d" % args.remove)
     inst = _load(args.file)
-    sol = _solve(inst, args.k, args.mode)
+    sol = _solve(inst, args.k)
     X = hyperlp.blowup_from_solution(inst, sol)
     state = splitting.splitting_set(X, "dp")
     F = frozenset(sorted(state.K)[:args.remove])
@@ -237,7 +236,7 @@ def _verify_separation(seed):
 def _verify_uniform(seed):
     inst, X = _small_blowup(seed)
     state = splitting.splitting_set(X, "dp")
-    ok, _ = removal_matroid.verify_uniform_point(X, state.K, mode="exhaustive")
+    ok, _ = removal_matroid.verify_uniform_point(X, state.K)
     return ok
 
 
@@ -314,9 +313,9 @@ def cmd_bench(args):
         inst = inst_mod.generate_random(args.terminals, args.steiner, 0.5,
                                         seed=seed,
                                         quasi_bipartite=args.strategy == "quasi")
-        t0 = time.time()
+        t0 = time.perf_counter()
         tree, cert = contract_alg.run(inst, strategy=args.strategy, seed=seed)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         lp = cert["lp_value"]
         row = {
             "instance": seed,
@@ -349,7 +348,6 @@ def cmd_bench(args):
 def _common_lp_flags(p):
     p.add_argument("--k", type=int, default=None,
                    help="component size cap (default: number of terminals)")
-    p.add_argument("--mode", choices=["auto", "full", "cuts"], default="auto")
 
 
 def build_parser():

@@ -4,8 +4,9 @@ A full component for a terminal subset S is a tree whose leaves are
 exactly S and whose internal vertices are non-terminals.  For each S we
 compute a minimum Steiner tree of S in the graph with all *other*
 terminals deleted (dynamic program over terminal subsets), reconstruct
-an optimal tree, and keep it only if it has the full-component shape
-after pruning zero-cost non-terminal leaves.
+an optimal tree, and keep it only if it has the full-component shape.
+Costs are positive, so an optimal tree has no non-terminal leaf to
+prune.
 
 The dynamic program runs on Python ints: costs are multiplied once per
 instance by L, the lcm of their denominators, and converted back once.
@@ -192,36 +193,19 @@ def min_component_cost(inst, terminal_subset, return_tree=False):
 
 
 def _as_full_component(inst, S, edges):
-    """Prune zero-cost non-terminal leaves, then accept only if leaves are
-    exactly S and internal vertices are non-terminals."""
+    """Accept the tree `edges` only if its leaves are exactly S and its
+    internal vertices are non-terminals."""
     deg = {}
-    adj = {}
     for (u, v) in edges:
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
     S = set(S)
-    edges = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(deg):
-            if deg.get(v, 0) == 1 and v not in S:
-                (w,) = adj[v]
-                e = edge_key(v, w)
-                if inst.costs[e] == 0:
-                    edges.discard(e)
-                    adj[w].discard(v)
-                    deg[w] -= 1
-                    del deg[v], adj[v]
-                    changed = True
     for v, d in deg.items():
         if v in S:
             if d != 1:
                 return None  # terminal is internal
         elif d == 1:
-            return None  # non-terminal leaf of positive cost
+            return None  # non-terminal leaf
     if set(deg) & (inst.terminals - S):
         return None
     if not all(deg.get(t, 0) == 1 for t in S):

@@ -72,7 +72,7 @@ def select_component(state):
     best = None
     for T in sorted(groups, key=lambda T: groups[T][1].id):
         cost, copy = groups[T]
-        M = RemovalMatroid(X, T, groundset=state.K, mode="scan")
+        M = RemovalMatroid(X, T, groundset=state.K)
         B = greedy_max_weight_basis(M, state.weights, order)
         if state.check and M.rank(B) != M.full_rank:
             raise InvariantViolation("greedy basis for terminals %s has rank "
@@ -130,14 +130,10 @@ def contract_step(state, Q, B):
 
 
 def _reweigh(X, K, witness):
-    weights = {e: X.edges[e].cost for e in K if e in X.edges}
     for f, W in witness.items():
         if not W:
             raise InvariantViolation("cleanup edge %d lost all witnesses" % f)
-        share = X.edges[f].cost / len(W)
-        for e in W:
-            weights[e] += share
-    return weights
+    return _split.core_weights(X, K, witness)
 
 
 def _full_check(state):
@@ -164,14 +160,14 @@ def _full_check(state):
             raise InvariantViolation("incremental weight update diverged")
 
 
-def run(instance, k=None, strategy="dp", seed=0, lp_mode="auto", check=False):
+def run(instance, k=None, strategy="dp", seed=0, check=False):
     """Full pipeline: LP -> blowup -> splitting set -> contraction loop.
 
     strategy: "dp" (minimum-potential splitting set), "random", or
     "quasi" (cheapest-edge rule; requires a quasi-bipartite instance).
     Returns (SteinerTree, certificate dict)."""
     comps = enumerate_components(instance, k)
-    sol = solve_lp_exact(instance, comps, mode=lp_mode)
+    sol = solve_lp_exact(instance, comps)
     return run_from_solution(instance, sol, strategy=strategy, seed=seed,
                              check=check, n_components=len(comps))
 

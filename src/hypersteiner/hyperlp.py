@@ -351,50 +351,45 @@ def _lp_rows(components, terminal_order, masks):
     return rows, rhs
 
 
-def solve_lp_exact(instance, components, mode="auto", full_cap=FULL_ENUM_CAP):
+def solve_lp_exact(instance, components):
     """Optimal exact solution of the component LP.
 
-    mode "full" instantiates every subset row (2^|R| - 1 of them); mode
-    "cuts" starts from singleton rows plus the full-set row and separates
-    violated subsets with the combinatorial max-flow oracle.  "auto" picks
-    "full" up to `full_cap` terminals and "cuts" beyond.
+    Up to FULL_ENUM_CAP terminals every subset row (2^|R| - 1 of them) is
+    instantiated at once; above that, `_cutting_planes` starts from the
+    singleton rows plus the full-set row and separates violated subsets
+    with the combinatorial max-flow oracle.
     """
-    from .simplexq import solve_lp
-    R = sorted(instance.terminals)
-    r = len(R)
-    if mode == "auto":
-        mode = "full" if r <= full_cap else "cuts"
-    if mode not in ("full", "cuts"):
-        raise ValueError("unknown LP mode %r" % mode)
     if not components:
         raise ValueError("no components to optimize over")
-    c = [comp.cost for comp in components]
-    eq_row = [[Rat(len(comp.terminals) - 1) for comp in components]]
-    eq_rhs = [Rat(r - 1)]
+    r = len(instance.terminals)
+    if r > FULL_ENUM_CAP:
+        return _cutting_planes(instance, components)
+    return _solve_rows(instance, components, range(1, 1 << r))
 
-    if mode == "full":
-        masks = list(range(1, 1 << r))
-        rows, rhs = _lp_rows(components, R, masks)
-        x, obj = solve_lp(c, rows, rhs, eq_row, eq_rhs)
-        return _pack(instance, components, x)
 
-    # cutting plane
+def _cutting_planes(instance, components):
+    """The component LP by cutting planes: one most-violated subset row
+    is added per round until the optimum of the rows so far is feasible."""
+    r = len(instance.terminals)
     masks = [1 << i for i in range(r)] + [(1 << r) - 1]
-    active = set(masks)
     while True:
-        rows, rhs = _lp_rows(components, R, masks)
-        x, obj = solve_lp(c, rows, rhs, eq_row, eq_rhs)
-        sol = _pack(instance, components, x)
+        sol = _solve_rows(instance, components, masks)
         viol = _most_violated(instance, sol)
         if viol is None:
             return sol
-        if viol in active:
+        if viol in masks:
             raise AssertionError("separation returned an active row")
-        active.add(viol)
         masks.append(viol)
 
 
-def _pack(instance, components, x):
+def _solve_rows(instance, components, masks):
+    """Optimum of the component LP restricted to the subset rows `masks`."""
+    from .simplexq import solve_lp
+    R = sorted(instance.terminals)
+    rows, rhs = _lp_rows(components, R, masks)
+    c = [comp.cost for comp in components]
+    eq_row = [[Rat(len(comp.terminals) - 1) for comp in components]]
+    x, _ = solve_lp(c, rows, rhs, eq_row, [Rat(len(R) - 1)])
     vals = {comp: xi for comp, xi in zip(components, x) if xi != 0}
     return FractionalSolution(instance.terminals, vals)
 

@@ -19,15 +19,6 @@ R1 = Rat(1)
 # exact comparison against the ln 4 bound is wanted.
 LN4_UPPER = Rat(1386295, 1000000)
 
-# Classical lower bound footnote constant: a k-restricted relaxation can be
-# off by a factor 1 + 1/floor(log2 k); kept here for documentation only,
-# never used by the pipeline or in a correctness check.
-def k_restriction_loss(k):
-    if k < 2:
-        raise ValueError("needs k >= 2")
-    return R1 + Rat(1, k.bit_length() - 1)
-
-
 _HARMONIC = [R0]
 
 

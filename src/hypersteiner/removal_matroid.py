@@ -6,42 +6,29 @@ stays feasible" form the bases of a matroid on E(X) with rank function
 
     r_Q(F) = min over S >= Q of h_{X-F}(S),
 
-of total rank N(|Q|-1).  Three interchangeable oracles are provided:
-
-  * "gammoid":     two max-flow evaluations per rank query (edge-split
-                   network, paths from removed edges into Q or the sink);
-  * "submodular":  one separation-network max flow on X - F;
-  * "scan":        dense slack table of X - F, minimum over supersets of
-                   Q's bitmask (fastest at small |R|, used by the
-                   contraction pipeline).
-
-All three are exact and are cross-checked against each other in tests.
-The greedy max-weight basis asks none of them: it keeps the slack table
-of X - B and adds one copy delta per candidate edge (see
-`greedy_max_weight_basis`).
+of total rank N(|Q|-1).  `RemovalMatroid.rank` reads it off the dense
+slack table of X - F as the minimum over the supersets of Q's bitmask.
+`sepflow` holds two max-flow evaluations of the same rank, the gammoid
+oracle and the flow identity behind `min_slack_over_supersets`; tests
+cross-check all three.  The greedy max-weight basis builds no table per
+query: it keeps the slack table of X - B and adds one copy delta per
+candidate edge (see `greedy_max_weight_basis`).
 """
 
 import numpy as np
 
 from .ratio import R0
-from . import sepflow
 
 
 class RemovalMatroid:
-    def __init__(self, X, Q, groundset=None, mode="gammoid"):
+    def __init__(self, X, Q, groundset=None):
         self.X = X
         self.Q = frozenset(Q)
         if not (self.Q and self.Q <= X.R):
             raise ValueError("Q must be a nonempty terminal subset")
-        if mode not in ("gammoid", "submodular", "scan"):
-            raise ValueError("unknown oracle mode %r" % mode)
-        self.mode = mode
         self.groundset = tuple(sorted(X.edges if groundset is None else groundset))
         self._ground = frozenset(self.groundset)
         self.full_rank = X.N * (len(self.Q) - 1)
-        self._gammoid = None
-        if mode == "gammoid":
-            self._gammoid = sepflow.GammoidOracle(X, self.Q)
         q = X.term_mask(self.Q)
         masks = np.arange(1 << len(X.terminal_order), dtype=np.int64)
         self._supersets = np.flatnonzero(masks & q == q)  # slack-table rows S >= Q
@@ -50,11 +37,6 @@ class RemovalMatroid:
         F = frozenset(F)
         if not F <= self._ground:
             raise ValueError("F outside the ground set")
-        if self.mode == "gammoid":
-            return self._gammoid.rank(F)
-        if self.mode == "submodular":
-            val, _ = sepflow.min_slack_over_supersets(self.X, self.Q, F)
-            return val
         return self.table_rank(self.X.slack_table(F))
 
     def table_rank(self, h):
@@ -84,7 +66,7 @@ def greedy_max_weight_basis(M, w, order=None):
     over one ground set sort it once), each kept when independence is
     preserved.  Raises if the ground set does not contain a basis.
 
-    Whatever M's oracle, independence is read off slack tables: h starts
+    Independence is read off slack tables without `M.rank`: h starts
     as the table of X, and the table of X - (B + e) is h plus the old and
     minus the new contribution vector of e's copy, so B + e is
     independent iff its superset minimum over Q is |B| + 1."""
@@ -113,17 +95,15 @@ def greedy_max_weight_basis(M, w, order=None):
     return frozenset(B)
 
 
-def verify_uniform_point(X, K, mode="exhaustive"):
+def verify_uniform_point(X, K):
     """Membership of the uniform vector (N/|pieces| on every edge of K) in
     the removable-set polytope, checked through its rank characterization:
-    sum over pieces Q of r_Q(F) >= |F| * N for every F subset of K
-    ("exhaustive", the only mode).
+    sum over pieces Q of r_Q(F) >= |F| * N for every F subset of K, all
+    2^|K| of them.
 
     Returns (ok, details) where details carries the worst margin seen.
     Also checks h_{X-F}(R) == |F| for every tested F (K splitting).
     """
-    if mode != "exhaustive":
-        raise ValueError("unknown mode %r" % mode)
     from .splitting import compute_witnesses_and_weights
     compute_witnesses_and_weights(X, K)  # raises if K is not a splitting set
     K = sorted(K)
@@ -133,7 +113,7 @@ def verify_uniform_point(X, K, mode="exhaustive"):
         if len(T) >= 2:
             pieces_terms.append(T)
     npieces = len(X.copies)
-    matroids = [RemovalMatroid(X, T, mode="scan") for T in pieces_terms]
+    matroids = [RemovalMatroid(X, T) for T in pieces_terms]
 
     def check(F):
         h = X.slack_table(F)
@@ -141,7 +121,7 @@ def verify_uniform_point(X, K, mode="exhaustive"):
         return total - len(F) * X.N, int(h[-1]) == len(F)
 
     if len(K) > 16:
-        raise ValueError("|K| too large for exhaustive mode")
+        raise ValueError("|K| too large for exhaustive check")
     import itertools
     subsets = itertools.chain.from_iterable(
         itertools.combinations(K, r) for r in range(len(K) + 1))
@@ -154,4 +134,4 @@ def verify_uniform_point(X, K, mode="exhaustive"):
         if margin < 0 or not h_ok:
             ok = False
             break
-    return ok, {"worst_margin": worst, "pieces": npieces, "mode": mode}
+    return ok, {"worst_margin": worst, "pieces": npieces}

@@ -12,10 +12,12 @@ For a terminal subset Q, the max flow from s into Q union {t} equals
     y(R) + N + min over S >= Q of h(S),
 
 and a minimizing S is read off the sink side of the min cut.  This gives
-both LP separation (run with Q = {v} for every terminal) and the rank
-oracle of the removal structure.  The companion gammoid view splits every
+LP separation (run with Q = {v} for every terminal) and, on X - F, the
+removal-matroid rank r_Q(F).  The companion gammoid view splits every
 edge into a node with unit throughput; ranks come out as differences of
-two max-flow values.
+two max-flow values.  The pipeline reads ranks off slack tables
+(`removal_matroid`); both flow ranks are the references tests compare
+those against.
 
 Roots are the smallest vertex id of each piece; min cuts are reported as
 the unique minimal sink side (reverse residual reachability), so results

@@ -36,14 +36,13 @@ class SplittingError(ValueError):
 class SplittingState:
     """K plus derived data, all relative to one blowup graph."""
 
-    __slots__ = ("X", "K", "witness", "weights", "binarized")
+    __slots__ = ("X", "K", "witness", "weights")
 
-    def __init__(self, X, K, witness, weights, binarized=False):
+    def __init__(self, X, K, witness, weights):
         self.X = X
         self.K = frozenset(K)
         self.witness = dict(witness)   # cleanup edge id -> frozenset of core ids
         self.weights = dict(weights)   # core edge id -> rational
-        self.binarized = binarized
 
     @property
     def potential(self):
@@ -65,7 +64,7 @@ def potential(X, K, witness):
 # ---- witnesses and weights ----------------------------------------------
 
 
-def compute_witnesses_and_weights(X, K, binarized=False):
+def compute_witnesses_and_weights(X, K):
     """Validate K as a splitting set and build witness sets and weights."""
     K = frozenset(K)
     if not K <= set(X.edges):
@@ -73,14 +72,21 @@ def compute_witnesses_and_weights(X, K, binarized=False):
     witness = {}
     for copy in X.copies:
         _copy_witnesses(X, copy, K, witness)
+    weights = core_weights(X, K, witness)
+    total = sum(weights.values(), R0)
+    assert total == X.total_cost(), "weight conservation failed"
+    return SplittingState(X, K, witness, weights)
+
+
+def core_weights(X, K, witness):
+    """w(e) = c(e) + sum of c(f)/|W(f)| over cleanup f with e in W(f),
+    for the core edges e in K; every W(f) must be nonempty."""
     weights = {e: X.edges[e].cost for e in K}
     for f, W in witness.items():
         share = X.edges[f].cost / len(W)
         for e in W:
             weights[e] += share
-    total = sum(weights.values(), R0)
-    assert total == X.total_cost(), "weight conservation failed"
-    return SplittingState(X, K, witness, weights, binarized)
+    return weights
 
 
 def _copy_witnesses(X, copy, K, witness):

@@ -23,8 +23,8 @@ def test_lp_star_instance():
 def test_modes_agree(seed):
     inst = generate_random(4, 2, 0.5, seed=seed)
     comps = enumerate_components(inst)
-    full = hyperlp.solve_lp_exact(inst, comps, mode="full")
-    cuts = hyperlp.solve_lp_exact(inst, comps, mode="cuts")
+    full = hyperlp.solve_lp_exact(inst, comps)
+    cuts = hyperlp._cutting_planes(inst, comps)
     assert full.objective == cuts.objective
 
 

@@ -3,7 +3,7 @@ import math
 from hypothesis import given, strategies as st
 
 from hypersteiner.ratio import (Rat, harmonic, lcm_denominators, rat_to_json,
-                                rat_from_json, k_restriction_loss, LN4_UPPER)
+                                rat_from_json, LN4_UPPER)
 
 
 def test_harmonic_small():
@@ -34,15 +34,3 @@ def test_lcm_denominators_clears(vals):
 def test_json_roundtrip(q):
     assert rat_from_json(rat_to_json(q)) == Rat(q)
 
-
-def test_k_restriction_loss_values():
-    assert k_restriction_loss(2) == 2
-    assert k_restriction_loss(4) == Rat(3, 2)
-    assert k_restriction_loss(8) == Rat(4, 3)
-    # monotone nonincreasing in powers of two
-    prev = None
-    for e in range(1, 10):
-        v = k_restriction_loss(1 << e)
-        if prev is not None:
-            assert v <= prev
-        prev = v

@@ -4,7 +4,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat
-from hypersteiner import hyperlp, splitting, removal_matroid, oracles
+from hypersteiner import hyperlp, splitting, removal_matroid, oracles, sepflow
 
 from conftest import small_blowup, fractional_solution_n2, mixed_hypertree_point
 
@@ -43,17 +43,20 @@ def test_rank_axioms(seed):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_modes_agree(seed):
-    inst, X = small_blowup(seed % 500)
-    eids = sorted(X.edges)
-    import random
+    """Scan rank == gammoid rank == flow-identity rank on random F, on an
+    LP optimum (N = 1 in practice) and on a hypertree mixture (N >= 2 on
+    most seeds)."""
     rng = random.Random(seed)
-    for Q in _termsets(X):
-        g = removal_matroid.RemovalMatroid(X, Q, mode="gammoid")
-        s = removal_matroid.RemovalMatroid(X, Q, mode="submodular")
-        c = removal_matroid.RemovalMatroid(X, Q, mode="scan")
-        for _ in range(10):
-            F = frozenset(e for e in eids if rng.random() < 0.5)
-            assert g.rank(F) == s.rank(F) == c.rank(F)
+    mixed = mixed_hypertree_point(seed % 500, 2 + seed % 2)
+    for X in (small_blowup(seed % 500)[1], hyperlp.blowup_from_solution(*mixed)):
+        eids = sorted(X.edges)
+        for Q in _termsets(X):
+            g = sepflow.GammoidOracle(X, Q)
+            c = removal_matroid.RemovalMatroid(X, Q)
+            for _ in range(10):
+                F = frozenset(e for e in eids if rng.random() < 0.5)
+                assert (g.rank(F) == sepflow.min_slack_over_supersets(X, Q, F)[0]
+                        == c.rank(F))
 
 
 def test_bases_equal_exhaustive_minimal_removals():
@@ -83,10 +86,10 @@ def test_greedy_basis_is_max_weight():
         assert sum((w[e] for e in B), Rat(0)) == best
 
 
-def _rank_greedy(M, w):
+def _rank_greedy(M, w, rank):
     B = set()
     for e in sorted(M.groundset, key=lambda e: (-w[e], e)):
-        if M.rank(B | {e}) == len(B) + 1:
+        if rank(B | {e}) == len(B) + 1:
             B.add(e)
     return frozenset(B)
 
@@ -107,11 +110,12 @@ def test_greedy_basis_on_fractional_points(seed):
     K = splitting.splitting_set(X, "dp").K
     for Q in _termsets(X):
         minimal = [frozenset(b) for b in oracles.enumerate_minimal_removals(X, Q)]
+        gammoid = sepflow.GammoidOracle(X, Q)
         for ground in (K, frozenset(X.edges)):
             w = {e: Rat(rng.randint(0, 3), rng.randint(1, 2)) for e in ground}
-            M = removal_matroid.RemovalMatroid(X, Q, groundset=ground, mode="gammoid")
+            M = removal_matroid.RemovalMatroid(X, Q, groundset=ground)
             B = removal_matroid.greedy_max_weight_basis(M, w)
-            assert B == _rank_greedy(M, w)
+            assert B == _rank_greedy(M, w, gammoid.rank)
             best = max(sum((w[e] for e in b), Rat(0)) for b in minimal if b <= ground)
             assert sum((w[e] for e in B), Rat(0)) == best
 
@@ -121,6 +125,6 @@ def test_uniform_point_exhaustive():
     X = hyperlp.blowup_from_solution(inst, sol)
     Xb = splitting.binarize(X)
     st_ = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
-    ok, details = removal_matroid.verify_uniform_point(X, st_.K, mode="exhaustive")
+    ok, details = removal_matroid.verify_uniform_point(X, st_.K)
     assert ok, details
     assert details["worst_margin"] >= 0

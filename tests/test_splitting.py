@@ -46,7 +46,7 @@ def test_random_splitting_valid(seed):
     Xb = splitting.binarize(X)
     state = splitting.random_splitting_set(Xb, seed=seed)
     # validity: recomputing witnesses from K succeeds and agrees
-    redo = splitting.compute_witnesses_and_weights(Xb, state.K, binarized=True)
+    redo = splitting.compute_witnesses_and_weights(Xb, state.K)
     assert redo.witness == state.witness
     assert redo.potential == state.potential
 
