@@ -1,8 +1,8 @@
 """Exact rational toolkit for hypergraphic Steiner tree relaxations.
 
-Everything numeric in this package is an exact rational (gmpy2.mpq when
-available, fractions.Fraction otherwise).  Floats appear only in
-presentation layers (JSON "decimal" fields, benchmark timings).
+Everything numeric in this package is an exact rational
+(fractions.Fraction).  Floats appear only in presentation layers (JSON
+"decimal" fields, benchmark timings).
 """
 
 from .ratio import Rat

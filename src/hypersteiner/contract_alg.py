@@ -30,20 +30,18 @@ class InvariantViolation(AssertionError):
 class AlgorithmState:
     """Whole-value state of one contraction run."""
 
-    __slots__ = ("X", "K", "witness", "weights", "tree_edges", "log", "check")
+    __slots__ = ("X", "K", "witness", "weights", "phi", "tree_edges", "log",
+                 "check")
 
     def __init__(self, X, split_state, check=False):
         self.X = X
         self.K = set(split_state.K)
         self.witness = dict(split_state.witness)
         self.weights = dict(split_state.weights)
+        self.phi = split_state.potential  # carried from step to step
         self.tree_edges = set()
         self.log = []
         self.check = check
-
-    @property
-    def potential(self):
-        return _split.potential(self.X, self.K, self.witness)
 
     def done(self):
         return len(self.X.R) <= 1
@@ -94,7 +92,6 @@ def contract_step(state, Q, B):
     B = frozenset(B)
     F = frozenset(e for e in X.edges
                   if e not in state.K and state.witness[e] <= B)
-    phi_before = state.potential
     wB = sum((state.weights[e] for e in B), R0)
     for e in Q.edge_ids:
         orig = X.edges[e].orig
@@ -110,19 +107,19 @@ def contract_step(state, Q, B):
     new_state.witness = {e: (w - B) for e, w in state.witness.items()
                          if e in X2.edges}
     new_state.weights = _reweigh(X2, new_state.K, new_state.witness)
+    new_state.phi = _split.potential(X2, new_state.K, new_state.witness)
     new_state.tree_edges = state.tree_edges
     new_state.log = state.log
     new_state.check = state.check
 
-    phi_after = new_state.potential
-    if phi_before - phi_after < wB:
+    if state.phi - new_state.phi < wB:
         raise InvariantViolation("potential dropped by %s < basis weight %s"
-                                 % (phi_before - phi_after, wB))
+                                 % (state.phi - new_state.phi, wB))
     new_state.log.append({
         "terminals": sorted(TQ), "new_terminal": z,
         "component_cost": X.copy_cost(Q),
         "basis_size": len(B), "basis_weight": wB,
-        "cleaned": len(F), "phi": phi_after,
+        "cleaned": len(F), "phi": new_state.phi,
     })
     if state.check:
         _full_check(new_state)
@@ -142,22 +139,20 @@ def _full_check(state):
         raise InvariantViolation("contracted blowup graph is infeasible")
     # no pendant non-terminals
     for copy in X.copies:
-        deg = {}
-        for eid in copy.edge_ids:
-            e = X.edges[eid]
-            deg[e.u] = deg.get(e.u, 0) + 1
-            deg[e.v] = deg.get(e.v, 0) + 1
-        for v, d in deg.items():
-            if d == 1 and v not in X.R:
+        for v, nb in X.adjacency(copy.vertices, copy.edge_ids).items():
+            if len(nb) == 1 and v not in X.R:
                 raise InvariantViolation("pendant non-terminal %d survived "
                                          "cleanup in copy %d" % (v, copy.id))
     if len(X.R) > 1:
-        # K still splits X and the shrunk witnesses match a recomputation
+        # K still splits X, and the shrunk witnesses and the carried
+        # potential match a recomputation
         fresh = _split.compute_witnesses_and_weights(X, state.K)
         if fresh.witness != state.witness:
             raise InvariantViolation("incremental witness update diverged")
         if fresh.weights != state.weights:
             raise InvariantViolation("incremental weight update diverged")
+        if fresh.potential != state.phi:
+            raise InvariantViolation("carried potential diverged")
 
 
 def run(instance, k=None, strategy="dp", seed=0, check=False):
@@ -179,7 +174,7 @@ def run_from_solution(instance, sol, strategy="dp", seed=0, check=False,
     X0 = blowup_from_solution(instance, sol)
     st = _split.splitting_set(X0, strategy, seed)
     state = AlgorithmState(X0, st, check=check)
-    phi0 = state.potential
+    phi0 = state.phi
     guard = len(state.K) + 1
     while not state.done():
         guard -= 1

@@ -103,6 +103,15 @@ class BlowupGraph:
     def copy_terminals(self, copy):
         return frozenset(v for v in copy.vertices if v in self.R)
 
+    def adjacency(self, vertices, edge_ids):
+        """vertex -> [(neighbour, edge id)] over `edge_ids`, in that order."""
+        adj = {v: [] for v in vertices}
+        for eid in edge_ids:
+            e = self.edges[eid]
+            adj[e.u].append((e.v, eid))
+            adj[e.v].append((e.u, eid))
+        return adj
+
     def copy_cost(self, copy):
         return sum((self.edges[e].cost for e in copy.edge_ids), R0)
 
@@ -192,10 +201,9 @@ class BlowupGraph:
         h[0] = 0
         return h
 
-    def is_feasible(self, F=frozenset()):
-        """LP feasibility of the blowup minus F: h >= 0 everywhere and
-        h(R) = 0."""
-        h = self.slack_table(F)
+    def is_feasible(self):
+        """LP feasibility of the blowup: h >= 0 everywhere and h(R) = 0."""
+        h = self.slack_table()
         return bool(h.min() >= 0 and h[-1] == 0)
 
     # ---- mutating operations (return new graphs) -------------------------

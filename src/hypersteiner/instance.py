@@ -57,6 +57,23 @@ class UnionFind:
         return True
 
 
+def orient(adj, roots):
+    """Breadth-first search of a forest from `roots`, over an adjacency
+    vertex -> [(neighbour, edge id)].  Returns (order, parent): order lists
+    every reached vertex after its parent, and parent maps each of them to
+    (parent vertex, edge id), or to None for a root.  Neighbours are
+    visited in adjacency order, so every vertex's children follow it in
+    that order too."""
+    parent = dict.fromkeys(roots)
+    order = list(parent)
+    for u in order:  # order grows while it is read: the BFS queue
+        for v, eid in adj[u]:
+            if v not in parent:
+                parent[v] = (u, eid)
+                order.append(v)
+    return order, parent
+
+
 class SteinerInstance:
     """Undirected graph with positive rational edge costs and a terminal set."""
 
@@ -254,12 +271,12 @@ def parse_stp(text):
         raise STPParseError(0, str(exc))
 
 
-def render_stp(inst, name="hypersteiner instance"):
+def render_stp(inst):
     """Serialize an instance back to .stp text (costs as p/q when needed)."""
     order = {v: i + 1 for i, v in enumerate(sorted(inst.vertices))}
     out = ["33D32945 STP File, STP Format Version 1.0", ""]
     out.append("SECTION Comment")
-    out.append('Name    "%s"' % name)
+    out.append('Name    "hypersteiner instance"')
     out.append("END")
     out.append("")
     out.append("SECTION Graph")
@@ -282,8 +299,8 @@ def render_stp(inst, name="hypersteiner instance"):
 
 
 def generate_random(num_terminals, num_steiner, density, seed,
-                    quasi_bipartite=False, cost_range=(1, 20)):
-    """Random connected instance with integer costs.
+                    quasi_bipartite=False):
+    """Random connected instance with integer costs in [1, 20].
 
     Terminals get ids 1..num_terminals, non-terminals the ids after that.
     A random spanning tree guarantees connectivity; every other candidate
@@ -297,10 +314,9 @@ def generate_random(num_terminals, num_steiner, density, seed,
     rng = random.Random(seed)
     terminals = list(range(1, num_terminals + 1))
     steiner = list(range(num_terminals + 1, num_terminals + num_steiner + 1))
-    lo, hi = cost_range
 
     def cost():
-        return Rat(rng.randint(lo, hi))
+        return Rat(rng.randint(1, 20))
 
     # random spanning tree: shuffle, attach each vertex to an admissible
     # earlier one (a non-terminal must attach to a terminal when quasi)

@@ -1,16 +1,12 @@
 """Exact rational arithmetic helpers.
 
-Rat is gmpy2.mpq when gmpy2 is importable and fractions.Fraction
-otherwise; both expose .numerator/.denominator and interoperate with
-Python ints, which is all the rest of the package relies on.
+Rat is fractions.Fraction; it exposes .numerator/.denominator and
+interoperates with Python ints, which is all the rest of the package
+relies on.
 """
 
 import math
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 is the optional "gmpy2" extra
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 R0 = Rat(0)
 R1 = Rat(1)

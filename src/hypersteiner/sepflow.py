@@ -11,13 +11,15 @@ For a terminal subset Q, the max flow from s into Q union {t} equals
 
     y(R) + N + min over S >= Q of h(S),
 
-and a minimizing S is read off the sink side of the min cut.  This gives
-LP separation (run with Q = {v} for every terminal) and, on X - F, the
-removal-matroid rank r_Q(F).  The companion gammoid view splits every
-edge into a node with unit throughput; ranks come out as differences of
-two max-flow values.  The pipeline reads ranks off slack tables
-(`removal_matroid`); both flow ranks are the references tests compare
-those against.
+and a minimizing S is read off the sink side of the min cut.  This answers
+the per-terminal minima of the `separate` and `verify separation`
+commands and the slack checks of partition decomposition, and on X - F it
+gives the removal-matroid rank r_Q(F).  The companion gammoid view splits
+every edge into a node with unit throughput; ranks come out as
+differences of two max-flow values.  The pipeline reads LP separation
+(`most_violated_mask`) and ranks (`removal_matroid`) off slack tables;
+both flow ranks are the references tests compare those against.
+`FlowNet` is also the max-flow primitive of `bcr_quasi`.
 
 Roots are the smallest vertex id of each piece; min cuts are reported as
 the unique minimal sink side (reverse residual reachability), so results
@@ -26,12 +28,14 @@ are deterministic.
 
 from collections import deque
 
+from .instance import orient
+
 INF = float("inf")
 
 
 class NegativeTerminalLoad(Exception):
-    """Some terminal appears in fewer than N pieces: the sets R - {v} are
-    violated outright and no flow network is needed."""
+    """Some terminal appears in fewer than N pieces: its arc to the sink
+    would need the negative capacity y_v, so no flow query is made."""
 
     def __init__(self, bad):
         super().__init__("negative terminal load: %s" % (bad,))
@@ -133,26 +137,6 @@ def _pieces(X, F=frozenset()):
     return out
 
 
-def _orient_away(X, vs, eids, root):
-    """Arcs of one piece oriented away from the root."""
-    adj = {v: [] for v in vs}
-    for eid in eids:
-        e = X.edges[eid]
-        adj[e.u].append((e.v, eid))
-        adj[e.v].append((e.u, eid))
-    arcs = []
-    seen = {root}
-    q = deque([root])
-    while q:
-        u = q.popleft()
-        for v, eid in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                arcs.append((u, v, eid))
-                q.append(v)
-    return arcs
-
-
 SRC = ("s",)
 SNK = ("t",)
 SUPER = ("T*",)
@@ -165,7 +149,9 @@ def _build_net(X, pieces, y, Q, split_edges=False):
     for vs, eids in pieces:
         root = min(vs)
         net.add_arc(SRC, ("v", root), 1)
-        for u, v, eid in _orient_away(X, vs, eids, root):
+        order, parent = orient(X.adjacency(vs, eids), [root])
+        for v in order[1:]:
+            u, eid = parent[v]
             if split_edges:
                 net.add_arc(("v", u), ("e", eid), 1)
                 net.add_arc(("e", eid), ("v", v), 1)
@@ -202,31 +188,15 @@ def most_violated_mask(X):
     None when h >= 0 everywhere.  The subset equality h(R) = 0 is not
     checked here (the LP carries it as an explicit row).
 
-    Ties between minimizers found for different anchor terminals go to the
-    most negative slack, then the smallest bitmask; each individual flow
-    returns its unique minimal sink-side cut.
+    Read off X's slack table: the smallest mask among those of most
+    negative slack.  It holds whatever the terminal loads; when none is
+    negative it is also the minimal sink side that the per-terminal flows
+    `min_slack_over_supersets(X, {v})` report for some anchor v (minimizers
+    that intersect are closed under intersection).
     """
-    try:
-        best = None
-        for v in X.terminal_order:
-            val, S = min_slack_over_supersets(X, {v})
-            if val < 0:
-                m = X.term_mask(S)
-                key = (val, m)
-                if best is None or key < best:
-                    best = key
-    except NegativeTerminalLoad as exc:
-        # any terminal with y_v < 0 certifies h(R - {v}) < 0
-        full = (1 << len(X.terminal_order)) - 1
-        best = None
-        for t, yv in exc.bad:
-            m = full & ~(1 << X.terminal_order.index(t))
-            hs = int(X.slack_table()[m])
-            key = (hs, m)
-            if best is None or key < best:
-                best = key
-        return best[1]
-    return None if best is None else best[1]
+    h = X.slack_table()
+    m = int(h.argmin())
+    return m if h[m] < 0 else None
 
 
 # ---- gammoid view --------------------------------------------------------

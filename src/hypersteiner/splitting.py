@@ -20,12 +20,19 @@ Phi = sum over all edges of c(e) * H(|W(e)|) with H the harmonic numbers.
 Splitting strategies: uniformly random per-node choices, a quasi-
 bipartite cheapest-edge rule, and an exact dynamic program minimizing
 Phi (per copy, over rooted partial trees).
+
+Every walk over a copy is one `instance.orient` over the copy's
+`BlowupGraph.adjacency`: the cleanup trees from their terminals (witness
+sets), the copy from its smallest terminal (the DP) or from both ends of
+its root edge (the random rule), and a cleanup piece from a non-terminal
+(the pruning in map_back).  Copies are trees, so a vertex's parent does
+not depend on the search order, and children keep edge-id order.
 """
 
 import random as _random
 
 from .ratio import R0, harmonic
-from .instance import UnionFind
+from .instance import UnionFind, orient
 from .hyperlp import BlowupGraph, BlowupEdge, BlowupCopy
 
 
@@ -91,21 +98,16 @@ def core_weights(X, K, witness):
 
 def _copy_witnesses(X, copy, K, witness):
     cleanup = [e for e in copy.edge_ids if e not in K]
-    core = [e for e in copy.edge_ids if e in K]
     # cleanup forest: acyclic, every tree exactly one terminal, every
     # non-terminal covered
     uf = UnionFind(copy.vertices)
-    adj = {v: [] for v in copy.vertices}
     for eid in cleanup:
         e = X.edges[eid]
         if not uf.union(e.u, e.v):
             raise SplittingError("cleanup edges contain a cycle in copy %d" % copy.id)
-        adj[e.u].append((e.v, eid))
-        adj[e.v].append((e.u, eid))
     groups = {}
     for v in copy.vertices:
         groups.setdefault(uf.find(v), []).append(v)
-    term_of = {}
     for g in groups.values():
         ts = [v for v in g if v in X.R]
         if len(ts) > 1:
@@ -114,42 +116,25 @@ def _copy_witnesses(X, copy, K, witness):
         if not ts:
             raise SplittingError("cleanup piece without terminal in copy %d"
                                  % copy.id)
-        for v in g:
-            term_of[v] = ts[0]
-    incident_core = {v: [] for v in copy.vertices}
-    for eid in core:
-        e = X.edges[eid]
-        incident_core[e.u].append(eid)
-        incident_core[e.v].append(eid)
-    # orient each cleanup tree away from its terminal; far side of a
-    # cleanup edge = subtree below its lower endpoint
-    for root in {term_of[v] for v in copy.vertices}:
-        order = []
-        par_edge = {root: None}
-        stack = [root]
-        seen = {root}
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v, eid in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    par_edge[v] = eid
-                    stack.append(v)
-        # subtree core-incidence sets, children before parents
-        sub = {v: set(incident_core[v]) for v in order}
-        for v in reversed(order):
-            if v == root:
-                continue
-            eid = par_edge[v]
-            W = frozenset(sub[v])
-            if not W:
-                raise SplittingError("cleanup edge %d has empty witness set" % eid)
-            witness[eid] = W
-            # merge into parent: find parent endpoint
+    # core edges at each vertex, merged bottom-up along the cleanup trees
+    # oriented away from their terminals: the far side of a cleanup edge
+    # is the subtree below its lower endpoint
+    sub = {v: set() for v in copy.vertices}
+    for eid in copy.edge_ids:
+        if eid in K:
             e = X.edges[eid]
-            p = e.other(v)
-            sub[p] |= sub[v]
+            sub[e.u].add(eid)
+            sub[e.v].add(eid)
+    order, parent = orient(X.adjacency(copy.vertices, cleanup),
+                           sorted(X.copy_terminals(copy)))
+    for v in reversed(order):
+        if parent[v] is None:
+            continue
+        p, eid = parent[v]
+        if not sub[v]:
+            raise SplittingError("cleanup edge %d has empty witness set" % eid)
+        witness[eid] = frozenset(sub[v])
+        sub[p] |= sub[v]
 
 
 # ---- strategies ----------------------------------------------------------
@@ -212,17 +197,14 @@ def binarize(X):
     copies = []
     edges = {}
     for copy in X.copies:
-        deg = {v: [] for v in copy.vertices}
-        for e in copy.edge_ids:
-            deg[X.edges[e].u].append(e)
-            deg[X.edges[e].v].append(e)
+        adj = X.adjacency(copy.vertices, copy.edge_ids)
         # port assignment: every (vertex, incident edge) pair maps to a
         # concrete node of the expanded copy
         port = {}
         vs = set()
         aux = []  # zero-cost edges (u, v)
         for v in sorted(copy.vertices):
-            inc = sorted(deg[v])
+            inc = sorted(e for _, e in adj[v])
             if v in X.R or len(inc) <= 3:
                 for e in inc:
                     port[(v, e)] = v
@@ -256,29 +238,16 @@ def binarize(X):
     return BlowupGraph(X.N, X.R, copies, edges, vid, eid, cid)
 
 
-def _rooted(X, copy):
-    """Root a copy at its smallest terminal; returns (root, children map,
-    parent edge map)."""
-    terms = sorted(X.copy_terminals(copy))
-    if not terms:
-        raise SplittingError("copy %d has no terminals" % copy.id)
-    root = terms[0]
-    adj = {v: [] for v in copy.vertices}
-    for eid in copy.edge_ids:
-        e = X.edges[eid]
-        adj[e.u].append((e.v, eid))
-        adj[e.v].append((e.u, eid))
-    children = {v: [] for v in copy.vertices}
-    stack = [root]
-    seen = {root}
-    while stack:
-        u = stack.pop()
-        for v, eid in sorted(adj[u], key=lambda t: t[1]):
-            if v not in seen:
-                seen.add(v)
-                children[u].append((v, eid))
-                stack.append(v)
-    return root, children
+def _children(adj, roots):
+    """vertex -> [(child, edge id)] of the tree(s) `adj` oriented away
+    from `roots`.  Children come in adjacency order, which is edge-id
+    order on a copy's adjacency: every copy lists its edge ids ascending."""
+    order, parent = orient(adj, roots)
+    children = {v: [] for v in adj}
+    for v in order[len(roots):]:
+        u, eid = parent[v]
+        children[u].append((v, eid))
+    return children
 
 
 def random_splitting_set(X, seed):
@@ -299,35 +268,13 @@ def random_splitting_set(X, seed):
 def _random_copy(X, copy, rng):
     if len(copy.edge_ids) == 1:
         return set(copy.edge_ids)
-    root_eid = min(copy.edge_ids)
-    e = X.edges[root_eid]
-    adj = {v: [] for v in copy.vertices}
-    for eid in copy.edge_ids:
-        g = X.edges[eid]
-        adj[g.u].append((g.v, eid))
-        adj[g.v].append((g.u, eid))
-    # orient away from the root edge
-    children = {}
-    seen = {e.u, e.v}
-    stack = [e.u, e.v]
-    while stack:
-        u = stack.pop()
-        kids = []
-        for v, eid in sorted(adj[u], key=lambda t: t[1]):
-            if eid != root_eid and v not in seen:
-                seen.add(v)
-                kids.append((v, eid))
-                stack.append(v)
-        children[u] = kids
+    e = X.edges[min(copy.edge_ids)]
+    children = _children(X.adjacency(copy.vertices, copy.edge_ids), [e.u, e.v])
     core = set(copy.edge_ids)
-    for u in sorted(children):
-        if u in X.R:
-            continue
+    for u in copy.vertices:
         kids = children[u]
-        if not kids:
-            continue
-        pick = kids[rng.randrange(len(kids))][1]
-        core.discard(pick)
+        if u not in X.R and kids:
+            core.discard(kids[rng.randrange(len(kids))][1])
     return core
 
 
@@ -361,14 +308,6 @@ def optimal_splitting_set(X):
     K = set()
     memo = {}
     for copy in X.copies:
-        for v in copy.vertices:
-            if v not in X.R:
-                d = sum(1 for eid in copy.edge_ids
-                        if v in (X.edges[eid].u, X.edges[eid].v))
-                if d > 3:
-                    raise SplittingError(
-                        "copy %d has a non-terminal of degree %d; binarize first"
-                        % (copy.id, d))
         key = copy.shape
         if key in memo:
             pattern = memo[key]
@@ -381,7 +320,18 @@ def optimal_splitting_set(X):
 
 
 def _dp_copy(X, copy):
-    root, children = _rooted(X, copy)
+    """Core positions of a minimum-potential splitting set of one copy,
+    rooted at its smallest terminal."""
+    adj = X.adjacency(copy.vertices, copy.edge_ids)
+    for v in copy.vertices:
+        if v not in X.R and len(adj[v]) > 3:
+            raise SplittingError("copy %d has a non-terminal of degree %d; "
+                                 "binarize first" % (copy.id, len(adj[v])))
+    terms = sorted(X.copy_terminals(copy))
+    if not terms:
+        raise SplittingError("copy %d has no terminals" % copy.id)
+    root = terms[0]
+    children = _children(adj, [root])
     M = len(copy.edge_ids)
     pos = {eid: i for i, eid in enumerate(copy.edge_ids)}
 
@@ -548,54 +498,35 @@ def _prune_multi_paths(X, cleanup):
     is already valid."""
     moved = set()
     for copy in X.copies:
-        adj = {v: [] for v in copy.vertices}
-        for eid in copy.edge_ids:
-            if eid in cleanup:
-                e = X.edges[eid]
-                adj[e.u].append((e.v, eid))
-                adj[e.v].append((e.u, eid))
-        seen_global = set()
-        for v0 in sorted(copy.vertices):
-            if v0 in seen_global:
+        adj = X.adjacency(copy.vertices, [e for e in copy.edge_ids if e in cleanup])
+        seen = set()
+        for v0 in copy.vertices:
+            if v0 in seen:
                 continue
-            piece = {v0}
-            stack = [v0]
-            while stack:
-                u = stack.pop()
-                for w, _ in adj[u]:
-                    if w not in piece:
-                        piece.add(w)
-                        stack.append(w)
-            seen_global |= piece
+            piece, _ = orient(adj, [v0])
+            seen.update(piece)
             if sum(1 for t in piece if t in X.R) <= 1:
                 continue
             for u in sorted(p for p in piece if p not in X.R):
-                dirs = []
-                for w, eid in sorted(adj[u], key=lambda t: t[1]):
-                    d = _cheapest_terminal_path(X, adj, u, w, eid)
-                    if d is not None:
-                        dirs.append((d, eid))
+                dirs = _terminal_directions(X, adj, u)
                 if len(dirs) >= 2:
-                    dirs.sort()
-                    for _, eid in dirs[1:]:
-                        moved.add(eid)
+                    moved.update(eid for _, eid in dirs[1:])
                     break
     return moved
 
 
-def _cheapest_terminal_path(X, adj, u, w0, eid0):
-    """Cheapest cost of a cleanup path from u through its incident edge
-    eid0, ending at a terminal; None if that direction has no terminal.
-    Returned as (cost, eid0) for direct tie-breaking."""
-    best = None
-    stack = [(w0, eid0, X.edges[eid0].cost)]
-    while stack:
-        u1, came, acc = stack.pop()
-        if u1 in X.R:
-            if best is None or acc < best:
-                best = acc
-            continue
-        for w, eid in adj[u1]:
-            if eid != came:
-                stack.append((w, eid, acc + X.edges[eid].cost))
-    return None if best is None else (best, eid0)
+def _terminal_directions(X, adj, u):
+    """(cheapest cost of a cleanup path from u to a terminal, first edge
+    id) for every cleanup edge at u that leads to a terminal, cheapest
+    first (tie: smaller first-edge id)."""
+    order, parent = orient(adj, [u])
+    dist = {u: R0}
+    first = {}
+    best = {}
+    for v in order[1:]:
+        p, eid = parent[v]
+        dist[v] = dist[p] + X.edges[eid].cost
+        first[v] = eid if p == u else first[p]
+        if v in X.R and (first[v] not in best or dist[v] < best[first[v]]):
+            best[first[v]] = dist[v]
+    return sorted((d, eid) for eid, d in best.items())

@@ -4,12 +4,25 @@ from hypothesis import given, settings, strategies as st
 from hypersteiner.ratio import Rat
 from hypersteiner.instance import (SteinerInstance, SteinerTree, parse_stp,
                                    render_stp, generate_random, STPParseError,
-                                   edge_key)
+                                   edge_key, orient)
 
 
 def test_edge_key_orders():
     assert edge_key(5, 2) == (2, 5)
     assert edge_key(2, 5) == (2, 5)
+
+
+def test_orient_forest_breadth_first():
+    # two trees: 1 - 2 (edge 10), 1 - 3 (11), 3 - 4 (12); 5 - 6 (13)
+    adj = {1: [(3, 11), (2, 10)], 2: [(1, 10)], 3: [(1, 11), (4, 12)],
+           4: [(3, 12)], 5: [(6, 13)], 6: [(5, 13)]}
+    order, parent = orient(adj, [5, 1])
+    assert order == [5, 1, 6, 3, 2, 4]
+    assert parent == {5: None, 1: None, 6: (5, 13), 3: (1, 11), 2: (1, 10),
+                      4: (3, 12)}
+    # vertices no root reaches are left out
+    assert orient(adj, [2]) == ([2, 1, 3, 4], {2: None, 1: (2, 10),
+                                               3: (1, 11), 4: (3, 12)})
 
 
 def test_parse_basic():

@@ -1,12 +1,13 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersteiner import sepflow, hyperlp
 from hypersteiner.instance import generate_random
 from hypersteiner.components import enumerate_components
 
-from conftest import small_blowup, fractional_solution_n2
+from conftest import small_blowup, fractional_solution_n2, mixed_hypertree_point
 
 
 def _table_min(X, Q, F=frozenset()):
@@ -90,3 +91,47 @@ def test_gammoid_rank_bounds():
             r = g.rank(eids[:i])
             assert prev <= r <= i
             prev = r
+
+
+def test_negative_load_without_violation_reports_none(frac_n2):
+    # dropping the {1, 2} pair leaves terminal 1 in fewer than N = 2
+    # pieces, yet every subset constraint still holds
+    inst, sol = frac_n2
+    vals = {c: v for c, v in sol.values.items() if c.terminals != frozenset([1, 2])}
+    X = hyperlp.blowup_from_solution(inst, hyperlp.FractionalSolution(sol.terminals, vals))
+    with pytest.raises(sepflow.NegativeTerminalLoad):
+        sepflow.min_slack_over_supersets(X, {1})
+    assert int(X.slack_table().min()) >= 0
+    assert sepflow.most_violated_mask(X) is None
+
+
+def _flow_rule(X):
+    """Most negative per-anchor flow minimum, then the smallest mask."""
+    best = None
+    for v in X.terminal_order:
+        val, S = sepflow.min_slack_over_supersets(X, {v})
+        if val < 0 and (best is None or (val, X.term_mask(S)) < best):
+            best = (val, X.term_mask(S))
+    return None if best is None else best[1]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_most_violated_mask_on_perturbed_points(seed):
+    # one component of a feasible mixture dropped or doubled
+    inst, sol = mixed_hypertree_point(seed, 3)
+    comps = sorted(sol.values, key=lambda c: (sorted(c.terminals), c.edges))
+    comp = comps[seed % len(comps)]
+    vals = dict(sol.values)
+    if seed % 2:
+        vals[comp] *= 2
+    else:
+        del vals[comp]
+    X = hyperlp.blowup_from_solution(inst, hyperlp.FractionalSolution(sol.terminals, vals))
+    table = [int(h) for h in X.slack_table()]
+    low = min(table)
+    want = table.index(low) if low < 0 else None
+    assert sepflow.most_violated_mask(X) == want
+    try:
+        assert _flow_rule(X) == want
+    except sepflow.NegativeTerminalLoad:
+        pass

@@ -116,3 +116,49 @@ def test_single_edge_component_all_core():
     state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
     assert set(state.K) == set(X.edges)
     assert state.potential == 4  # H(0) shares: just the core cost
+
+
+def _pruning_tree_blowup():
+    """One copy of a 6-terminal tree: hub 7 (degree 4) holds terminals 1, 2
+    and Steiner vertices 8, 9; 8 holds terminals 3, 4 and 9 holds 5, 6.
+    Blowup edge ids: 0-5 the terminal edges 1..6 in order, 6 = 7-8 and
+    7 = 7-9."""
+    from hypersteiner.instance import SteinerInstance
+    costs = {(1, 7): 6, (2, 7): 9, (7, 8): 2, (7, 9): 3,
+             (3, 8): 5, (4, 8): 8, (5, 9): 1, (6, 9): 7}
+    inst = SteinerInstance(range(1, 10), {e: Rat(c) for e, c in costs.items()},
+                           range(1, 7))
+    sol = hyperlp.solve_lp_exact(inst, enumerate_components(inst))
+    return hyperlp.blowup_from_solution(inst, sol)
+
+
+# seed -> (edges pruning turns core, K, witness sets, Phi)
+_PRUNED = {
+    1: ({1}, {0, 1, 3, 4, 7}, {2: {0, 1, 3, 7}, 5: {4, 7}, 6: {0, 1, 7}},
+        Rat(619, 12)),
+    3: ({7}, {0, 3, 4, 6, 7}, {1: {0, 6, 7}, 2: {3, 6}, 5: {4, 7}}, Rat(109, 2)),
+    6: ({6}, {0, 2, 4, 6, 7}, {1: {0, 6, 7}, 3: {2, 6}, 5: {4, 7}}, Rat(56)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PRUNED))
+def test_map_back_prunes_random_splitting(seed, monkeypatch):
+    # random choices on the binarized hub chain leave the hub with cleanup
+    # paths to terminals in several directions; map_back keeps the
+    # cheapest (paths of one and two edges) and turns the others core
+    moved = []
+    prune = splitting._prune_multi_paths
+
+    def recording(X, cleanup):
+        out = prune(X, cleanup)
+        moved.extend(out)
+        return out
+    monkeypatch.setattr(splitting, "_prune_multi_paths", recording)
+    X = _pruning_tree_blowup()
+    Xb = splitting.binarize(X)
+    state = splitting.map_back(X, Xb, splitting.random_splitting_set(Xb, seed))
+    cut, K, witness, phi = _PRUNED[seed]
+    assert set(moved) == cut
+    assert state.K == K
+    assert state.witness == {e: frozenset(W) for e, W in witness.items()}
+    assert state.potential == phi
