@@ -92,18 +92,7 @@ def _flow_value_and_cut(inst, x, s, t):
     for a, v in x.items():
         if v > 0:
             net.add_arc(a[0], a[1], v)
-    val = net.max_flow(s, t)
-    # source side: forward residual reachability from s
-    side = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for arc in net.adj.get(u, ()):
-            w, cap, _ = arc
-            if cap > 0 and w not in side:
-                side.add(w)
-                stack.append(w)
-    return val, side
+    return net.max_flow(s, t), net.source_side(s)
 
 
 def solve_bcr(inst, r=None):

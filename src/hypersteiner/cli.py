@@ -141,17 +141,29 @@ def cmd_split(args):
     return 0
 
 
+def _anchor_minima(X, h):
+    """For each terminal v, the minimum of the slack table h of X over
+    the sets S containing v, and its minimizer with the fewest terminals
+    (ties: smallest mask).  Minimizers containing v are closed under
+    intersection, so this is the least one, the minimal sink side of
+    the separation flow."""
+    minima = []
+    for v in X.terminal_order:
+        sup = X.superset_masks({v})
+        low = int(h[sup].min())
+        m = min(map(int, sup[h[sup] == low]), key=lambda s: (bin(s).count("1"), s))
+        minima.append({"anchor": v, "min_slack": low,
+                       "argmin": sorted(X.mask_terms(m))})
+    return minima
+
+
 def cmd_separate(args):
     inst = _load(args.file)
     sol = _solve(inst, args.k)
     X = hyperlp.blowup_from_solution(inst, sol)
     mask = sepflow.most_violated_mask(X)
-    minima = []
-    for v in X.terminal_order:
-        val, S = sepflow.min_slack_over_supersets(X, {v})
-        minima.append({"anchor": v, "min_slack": int(val), "argmin": sorted(S)})
     payload = {"violated": None if mask is None else sorted(X.mask_terms(mask)),
-               "per_terminal_minima": minima}
+               "per_terminal_minima": _anchor_minima(X, X.slack_table())}
     _emit(args, payload)
     return 0 if mask is None else 1
 
@@ -209,7 +221,7 @@ def _verify_matroid(seed):
     for Q in sorted(termsets, key=sorted):
         M = removal_matroid.RemovalMatroid(X, Q)
         want = set(map(frozenset, oracles.enumerate_minimal_removals(X, Q)))
-        got = set(map(frozenset, M.bases()))
+        got = set(map(frozenset, oracles.removal_bases(M)))
         if want != got:
             return False
         if any(len(B) != X.N * (len(Q) - 1) for B in got):
@@ -224,7 +236,7 @@ def _verify_separation(seed):
     import itertools
     for r in range(1, len(order) + 1):
         for Q in itertools.combinations(order, r):
-            val, S = sepflow.min_slack_over_supersets(X, Q)
+            val, S = oracles.min_slack_over_supersets(X, Q)
             qmask = X.term_mask(Q)
             best = min(int(table[m]) for m in range(1, 1 << len(order))
                        if m & qmask == qmask)

@@ -36,16 +36,15 @@ TABLE_TERMINAL_CAP = 16
 
 
 class BlowupEdge:
-    __slots__ = ("id", "u", "v", "cost", "copy_id", "orig", "aux")
+    __slots__ = ("id", "u", "v", "cost", "copy_id", "orig")
 
-    def __init__(self, eid, u, v, cost, copy_id, orig=None, aux=False):
+    def __init__(self, eid, u, v, cost, copy_id, orig=None):
         self.id = eid
         self.u = u
         self.v = v
         self.cost = cost
         self.copy_id = copy_id
         self.orig = orig      # edge key of the source instance, if any
-        self.aux = aux        # zero-cost helper edge added by binarization
 
     def other(self, v):
         return self.u if v == self.v else self.v
@@ -100,6 +99,12 @@ class BlowupGraph:
     def mask_terms(self, mask):
         return frozenset(t for i, t in enumerate(self.terminal_order) if mask >> i & 1)
 
+    def superset_masks(self, Q):
+        """Slack-table indices of the terminal sets S >= Q, ascending."""
+        q = self.term_mask(Q)
+        masks = np.arange(1 << len(self.terminal_order), dtype=np.int64)
+        return np.flatnonzero(masks & q == q)
+
     def copy_terminals(self, copy):
         return frozenset(v for v in copy.vertices if v in self.R)
 
@@ -117,9 +122,6 @@ class BlowupGraph:
 
     def total_cost(self):
         return sum((e.cost for e in self.edges.values()), R0)
-
-    def lp_value(self):
-        return self.total_cost() / self.N
 
     # ---- pieces and slack ------------------------------------------------
 
@@ -228,7 +230,7 @@ class BlowupGraph:
                 for eid in eids:
                     old = self.edges[eid]
                     new_edges[eid] = BlowupEdge(eid, old.u, old.v, old.cost, cid,
-                                                old.orig, old.aux)
+                                                old.orig)
                 copies.append(BlowupCopy(cid, eids, vs, ("p", cid)))
                 cid += 1
         return BlowupGraph(self.N, self.R, copies, new_edges,
@@ -260,22 +262,11 @@ class BlowupGraph:
                 old = self.edges[eid]
                 new_edges[eid] = BlowupEdge(eid, sub.get(old.u, old.u),
                                             sub.get(old.v, old.v),
-                                            old.cost, copy.id, old.orig, old.aux)
+                                            old.cost, copy.id, old.orig)
             copies.append(BlowupCopy(copy.id, copy.edge_ids, vs, ("z", copy.shape, z)))
         R = (self.R - TQ) | {z}
         return BlowupGraph(self.N, R, copies, new_edges,
                            self._next_vid + 1, self._next_eid, self._next_cid), z
-
-
-def add_component_slack_ok(X, terminals, B):
-    """Is (X * Q) - B feasible?  B is removed from X's edges only; the fresh
-    Q-copies stay whole."""
-    q = X.term_mask(terminals)
-    h = X.slack_table(B)
-    pcm1 = X._pcm1()
-    idx = np.arange(len(h), dtype=np.int64)
-    ext = h - X.N * pcm1[idx & q]
-    return bool(ext.min() >= 0 and ext[-1] == 0)
 
 
 class FractionalSolution:
@@ -365,7 +356,7 @@ def solve_lp_exact(instance, components):
     Up to FULL_ENUM_CAP terminals every subset row (2^|R| - 1 of them) is
     instantiated at once; above that, `_cutting_planes` starts from the
     singleton rows plus the full-set row and separates violated subsets
-    with the combinatorial max-flow oracle.
+    off the slack table of the current point's blowup.
     """
     if not components:
         raise ValueError("no components to optimize over")

@@ -105,17 +105,9 @@ class SteinerInstance:
             raise ValueError("graph is not connected")
 
     def _connected(self):
-        if not self.vertices:
-            return False
+        # orient reads the cost in each (neighbour, cost) pair as an edge id
         start = next(iter(self.vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w, _ in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(orient(self._adj, [start])[0]) == len(self.vertices)
 
     def neighbors(self, v):
         return self._adj[v]
@@ -145,27 +137,16 @@ class SteinerTree:
 
     def _validate(self, terminals):
         # connected on its support, acyclic, and spans all terminals
-        touched = set()
-        adj = {}
-        for (u, v) in self.edges:
-            touched.update((u, v))
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
+        touched = {v for e in self.edges for v in e}
         if not terminals <= touched:
             if len(terminals) == 1 and not self.edges:
                 return
             raise ValueError("tree does not span all terminals")
-        start = next(iter(touched))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(touched):
+        uf = UnionFind(touched)
+        merged = sum(uf.union(u, v) for (u, v) in self.edges)
+        if merged != len(touched) - 1:
             raise ValueError("edge set is disconnected")
-        if len(self.edges) != len(touched) - 1:
+        if len(self.edges) != merged:
             raise ValueError("edge set contains a cycle")
 
 

@@ -1,16 +1,24 @@
-"""Independent brute-force reference implementations.
+"""Independent reference implementations.
 
 Everything here exists to check the fast paths elsewhere in the package
 and is deliberately written in the most direct way available: exhaustive
 subset scans, a from-scratch terminal-subset dynamic program, Kirchhoff
-determinants.  Nothing in the production pipeline calls into this module.
+determinants, and the paper's max-flow oracles for the slack function
+(the separation network and the gammoid), whose answers the pipeline
+reads off slack tables instead.  Only tests and the `verify` suites of
+the CLI call into this module; the production pipeline does not.
 """
 
+import heapq
 import itertools
+from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
 from .ratio import Rat, R0
-from .instance import edge_key, SteinerTree
+from .instance import edge_key, orient, SteinerTree
+from .sepflow import FlowNet, INF
 
 
 def exact_steiner_tree(inst, max_terminals=12):
@@ -92,24 +100,19 @@ def exhaustive_steiner_cost(inst, max_edges=18):
                 continue
             if best is None or t.cost < best:
                 best = t.cost
-        if best is not None:
-            # any larger subset with positive costs only gets pricier once a
-            # tree of this cardinality exists?  not true in general; keep
-            # scanning every cardinality to stay an honest oracle
-            pass
     return best
 
 
 def mst_two_approx(inst):
     """Classic 2-approximation: MST of the terminal shortest-path metric,
-    expanded back to graph edges, pruned to a tree."""
-    import heapq
+    expanded back to graph edges, pruned to a tree.  Heap keys are the
+    exact distances: float keys misorder costs above 2^53."""
     R = sorted(inst.terminals)
 
     def dijkstra(src):
         dist = {src: R0}
         prev = {}
-        heap = [(0.0, src)]
+        heap = [(R0, src)]
         done = set()
         while heap:
             _, u = heapq.heappop(heap)
@@ -121,7 +124,7 @@ def mst_two_approx(inst):
                 if w not in dist or nd < dist[w]:
                     dist[w] = nd
                     prev[w] = u
-                    heapq.heappush(heap, (float(nd), w))
+                    heapq.heappush(heap, (nd, w))
         return dist, prev
 
     sp = {t: dijkstra(t) for t in R}
@@ -220,7 +223,6 @@ def enumerate_minimal_removals(X, Q):
     """All inclusion-minimal edge sets B with (X * Q) - B feasible, by
     scanning subsets in increasing size.  X is a BlowupGraph, Q a terminal
     subset of X.R.  Exponential; test scale only."""
-    from .hyperlp import add_component_slack_ok
     E = sorted(X.edges)
     found = []
     found_sets = []
@@ -284,9 +286,165 @@ def _valid_cleanup_forest(X, copy, keep):
         groups.setdefault(find(v), []).append(v)
     terminals = X.R
     for g in groups.values():
-        nt = sum(1 for v in g if v in terminals)
-        if nt != 1:
-            if nt == 0 and len(g) == 1 and g[0] not in terminals:
-                return False  # stranded non-terminal
+        if sum(1 for v in g if v in terminals) != 1:
             return False
     return True
+
+
+def add_component_slack_ok(X, terminals, B):
+    """Is (X * Q) - B feasible?  B is removed from X's edges only; the fresh
+    Q-copies stay whole."""
+    q = X.term_mask(terminals)
+    h = X.slack_table(B)
+    pcm1 = X._pcm1()
+    idx = np.arange(len(h), dtype=np.int64)
+    ext = h - X.N * pcm1[idx & q]
+    return bool(ext.min() >= 0 and ext[-1] == 0)
+
+
+def removal_bases(M):
+    """All bases of a RemovalMatroid, by brute force over its ground set."""
+    k = M.full_rank
+    return [frozenset(B) for B in itertools.combinations(M.groundset, k)
+            if M.rank(frozenset(B)) == k]
+
+
+# ---- max-flow oracles for the slack function -----------------------------
+#
+# The separation digraph of a blowup graph X (per-copy pieces, terminals
+# shared): a source s with a unit arc to the root of every piece, the tree
+# edges of each piece oriented away from its root with capacity 1, and for
+# each terminal v an arc v -> t of capacity y_v, where
+#
+#     y_v = (number of pieces containing v) - N  (>= 0 when X is feasible).
+#
+# For a terminal subset Q, the max flow from s into Q union {t} equals
+#
+#     y(R) + N + min over S >= Q of h(S),
+#
+# and a minimizing S is read off the sink side of the min cut.  On X - F
+# it gives the removal-matroid rank r_Q(F).  The gammoid view splits every
+# edge into a node with unit throughput; ranks come out as differences of
+# two max-flow values.  Roots are the smallest vertex id of each piece;
+# min cuts are reported as the unique minimal sink side (reverse residual
+# reachability), so results are deterministic.
+
+
+class NegativeTerminalLoad(Exception):
+    """Some terminal appears in fewer than N pieces: its arc to the sink
+    would need the negative capacity y_v, so no flow query is made."""
+
+    def __init__(self, bad):
+        super().__init__("negative terminal load: %s" % (bad,))
+        self.bad = bad  # list of (terminal, y_v < 0)
+
+
+def terminal_loads(X, pieces):
+    count = {t: 0 for t in X.R}
+    for vs, _ in pieces:
+        for v in vs:
+            if v in count:
+                count[v] += 1
+    y = {t: count[t] - X.N for t in X.R}
+    bad = sorted((t, yv) for t, yv in y.items() if yv < 0)
+    if bad:
+        raise NegativeTerminalLoad(bad)
+    return y
+
+
+def _pieces(X, F=frozenset()):
+    out = []
+    F = set(F)
+    for copy in X.copies:
+        out.extend(X.copy_pieces(copy, F & set(copy.edge_ids)))
+    return out
+
+
+SRC = ("s",)
+SNK = ("t",)
+SUPER = ("T*",)
+
+
+def _build_net(X, pieces, y, Q, split_edges=False):
+    """Separation network of the pieces, with Q and the sink t feeding the
+    super sink.  split_edges turns every piece edge into a unit node."""
+    net = FlowNet()
+    for vs, eids in pieces:
+        root = min(vs)
+        net.add_arc(SRC, ("v", root), 1)
+        order, parent = orient(X.adjacency(vs, eids), [root])
+        for v in order[1:]:
+            u, eid = parent[v]
+            if split_edges:
+                net.add_arc(("v", u), ("e", eid), 1)
+                net.add_arc(("e", eid), ("v", v), 1)
+            else:
+                net.add_arc(("v", u), ("v", v), 1)
+    for t, yv in y.items():
+        net.add_arc(("v", t), SNK, yv)
+    for q in Q:
+        net.add_arc(("v", q), SUPER, INF)
+    net.add_arc(SNK, SUPER, INF)
+    return net
+
+
+def _sink_side(net, t):
+    """Nodes that still reach t in the residual graph of net (the minimal
+    sink side of a minimum cut, after max_flow)."""
+    # reverse BFS: the residual arc u->v is the partner of the arc stored
+    # at v that heads back to u, so scanning adj[v] finds all residual
+    # in-neighbours of v
+    side = {t}
+    q = deque([t])
+    while q:
+        v = q.popleft()
+        for arc in net.adj[v]:
+            u, _, partner = arc
+            if partner[1] > 0 and u not in side:
+                side.add(u)
+                q.append(u)
+    return side
+
+
+def min_slack_over_supersets(X, Q, F=frozenset()):
+    """(min over S >= Q of h_{X-F}(S),  a minimizing S), by max flow.
+
+    Q is a nonempty subset of X.R.  Raises NegativeTerminalLoad when a
+    terminal load y_v goes negative (only possible on infeasible X).
+    """
+    Q = frozenset(Q)
+    assert Q and Q <= X.R
+    pieces = _pieces(X, F)
+    y = terminal_loads(X, pieces)
+    net = _build_net(X, pieces, y, Q)
+    flow = net.max_flow(SRC, SUPER)
+    val = flow - sum(y.values()) - X.N
+    side = _sink_side(net, SUPER)
+    S = frozenset(t for t in X.R if ("v", t) in side) | Q
+    return val, S
+
+
+class GammoidOracle:
+    """Rank oracle for the matroid of removable edge sets, realized as a
+    gammoid: every edge becomes a unit-capacity node; the rank of an edge
+    set U is rho(U + roots) - rho(roots) where rho(Z) is the max number of
+    node-disjoint-ish paths from Z into Q union {t} (computed as max flow
+    from a super source with one unit arc per piece root and per edge of
+    U)."""
+
+    def __init__(self, X, Q):
+        self.X = X
+        self.Q = frozenset(Q)
+        assert self.Q and self.Q <= X.R
+        self.pieces = _pieces(X)
+        self.y = terminal_loads(X, self.pieces)
+        self.base = self._rho(())
+
+    def _rho(self, U):
+        net = _build_net(self.X, self.pieces, self.y, self.Q, split_edges=True)
+        for eid in U:
+            net.add_arc(SRC, ("e", eid), 1)
+        return net.max_flow(SRC, SUPER)
+
+    def rank(self, U):
+        return self._rho(tuple(U)) - self.base

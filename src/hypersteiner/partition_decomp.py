@@ -10,11 +10,10 @@ sets, subtract the largest multiple of its partition function that keeps
 h nonnegative (an exact minimum-ratio over unions of blocks), re-tighten,
 repeat; partitions strictly coarsen and at most |U|-1 rounds happen.
 
-Used to certify the lower-bound machinery for removable-set polytopes;
-`verify_claim1` checks the per-piece slack inequality it supports.
+Used to certify the lower-bound machinery for removable-set polytopes,
+whose per-piece slack inequality `removal_matroid.verify_uniform_point`
+checks off slack tables.
 """
-
-import itertools
 
 from .ratio import Rat, R0
 
@@ -179,30 +178,5 @@ def slack_set_function(X, F=frozenset()):
     """The slack function of a blowup graph minus F, table-backed over its
     terminals (a nonnegative intersecting submodular function when X - F
     is feasible)."""
-    htab = X.slack_table(F)
-    order = X.terminal_order
-    sf = SetFunction(order, [Rat(int(v)) for v in htab])
-    return sf
+    return SetFunction(X.terminal_order, [Rat(int(v)) for v in X.slack_table(F)])
 
-
-def verify_claim1(X, K, F):
-    """Per-piece slack inequality behind uniform-point membership:
-
-        sum over pieces Q of min over S >= Q of h_{X-F}(S)  >=  N * h_{X-F}(R)
-
-    plus the splitting-set identity h_{X-F}(R) = |F| for F subset of K.
-    Returns (ok, details)."""
-    from . import sepflow
-    F = frozenset(F)
-    if not F <= frozenset(K):
-        raise ValueError("F must lie inside the splitting set")
-    lhs = R0
-    for copy in X.copies:
-        T = X.copy_terminals(copy)
-        if not T:
-            continue
-        val, _ = sepflow.min_slack_over_supersets(X, T, F)
-        lhs += val
-    hR = int(X.slack_table(F)[-1])
-    ok = lhs >= X.N * hR and hR == len(F)
-    return ok, {"lhs": lhs, "rhs": X.N * hR, "h_R": hR, "F_size": len(F)}

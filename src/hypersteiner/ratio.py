@@ -44,12 +44,3 @@ def rat_to_json(q):
         "decimal": float(q.numerator) / float(q.denominator),
     }
 
-
-def rat_from_json(obj):
-    if isinstance(obj, dict):
-        return Rat(int(obj["num"]), int(obj["den"]))
-    if isinstance(obj, int):
-        return Rat(obj)
-    if isinstance(obj, str):
-        return Rat(obj)
-    raise ValueError("cannot parse rational from %r" % (obj,))

@@ -7,15 +7,14 @@ stays feasible" form the bases of a matroid on E(X) with rank function
     r_Q(F) = min over S >= Q of h_{X-F}(S),
 
 of total rank N(|Q|-1).  `RemovalMatroid.rank` reads it off the dense
-slack table of X - F as the minimum over the supersets of Q's bitmask.
-`sepflow` holds two max-flow evaluations of the same rank, the gammoid
-oracle and the flow identity behind `min_slack_over_supersets`; tests
-cross-check all three.  The greedy max-weight basis builds no table per
-query: it keeps the slack table of X - B and adds one copy delta per
+slack table of X - F as the minimum over the supersets of Q's bitmask;
+this is the only rank oracle of the pipeline.  The paper's max-flow
+evaluations of the same rank, the gammoid and the flow identity behind
+`min_slack_over_supersets`, and a brute-force basis scan live in
+`oracles` as references.  The greedy max-weight basis builds no table
+per query: it keeps the slack table of X - B and adds one copy delta per
 candidate edge (see `greedy_max_weight_basis`).
 """
-
-import numpy as np
 
 from .ratio import R0
 
@@ -29,9 +28,7 @@ class RemovalMatroid:
         self.groundset = tuple(sorted(X.edges if groundset is None else groundset))
         self._ground = frozenset(self.groundset)
         self.full_rank = X.N * (len(self.Q) - 1)
-        q = X.term_mask(self.Q)
-        masks = np.arange(1 << len(X.terminal_order), dtype=np.int64)
-        self._supersets = np.flatnonzero(masks & q == q)  # slack-table rows S >= Q
+        self._supersets = X.superset_masks(self.Q)
 
     def rank(self, F):
         F = frozenset(F)
@@ -42,16 +39,6 @@ class RemovalMatroid:
     def table_rank(self, h):
         """r_Q(F) read off h, the slack table of X - F."""
         return int(h[self._supersets].min())
-
-    def bases(self):
-        """All bases, by brute force over the ground set (test scale)."""
-        import itertools
-        k = self.full_rank
-        out = []
-        for B in itertools.combinations(self.groundset, k):
-            if self.rank(frozenset(B)) == k:
-                out.append(frozenset(B))
-        return out
 
 
 def weight_order(edges, w):

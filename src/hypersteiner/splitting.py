@@ -190,7 +190,8 @@ def binarize(X):
     """Replace every non-terminal of degree > 3 with a chain of degree-3
     nodes joined by zero-cost auxiliary edges.  Edge ids are fresh; each
     non-auxiliary edge remembers the edge it came from via .orig set to
-    ("bin", source id).  Cost is unchanged."""
+    ("bin", source id), and auxiliary edges have .orig None.  Cost is
+    unchanged."""
     vid = X._next_vid
     eid = 0
     cid = 0
@@ -230,7 +231,7 @@ def binarize(X):
             e_ids.append(eid)
             eid += 1
         for (a, b) in aux:
-            edges[eid] = BlowupEdge(eid, a, b, R0, cid, orig=None, aux=True)
+            edges[eid] = BlowupEdge(eid, a, b, R0, cid)
             e_ids.append(eid)
             eid += 1
         copies.append(BlowupCopy(cid, e_ids, vs, ("b", copy.shape)))
@@ -475,7 +476,7 @@ def map_back(X, Xb, state_b):
     is valid, then recomputes witnesses on X."""
     src = {}
     for eid, e in Xb.edges.items():
-        if e.orig is not None and not e.aux:
+        if e.orig is not None:
             src[eid] = e.orig[1]
     K = {src[eid] for eid in state_b.K if eid in src}
     cleanup = set(X.edges) - K

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +44,18 @@ def test_mst_two_approx_bound(seed):
     assert exact <= mst.cost <= 2 * exact
 
 
+def test_mst_two_approx_exact_above_2_53():
+    # float heap keys round B + 3 and B to the same key and settle the
+    # path through vertex 6 first; the shortest 1-2 path is 1-6-3-7-2
+    B = 2 ** 62
+    costs = {(1, 4): B + 3, (1, 6): B, (2, 7): B, (3, 5): 3, (3, 6): 1,
+             (3, 7): 3, (4, 5): 2, (4, 6): B + 3, (4, 7): B, (5, 7): 3}
+    inst = SteinerInstance(range(1, 8), costs, [1, 2])
+    exact, _ = oracles.exact_steiner_tree(inst)
+    assert exact == 2 ** 63 + 4
+    assert oracles.mst_two_approx(inst).cost == exact
+
+
 def test_spanning_tree_count_k4():
     verts = [1, 2, 3, 4]
     edges = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]]
@@ -70,3 +85,23 @@ def test_minimal_removal_sizes(frac_n2):
             continue
         for B in oracles.enumerate_minimal_removals(X, Q):
             assert len(B) == X.N * (len(Q) - 1)
+
+
+def test_only_cli_imports_oracles():
+    # the references stay out of the pipeline: of the package modules,
+    # only the CLI's verify suites may import them
+    src = pathlib.Path(oracles.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any("oracles" in n.split(".") for n in names):
+                offenders.append(path.name)
+    assert offenders == []

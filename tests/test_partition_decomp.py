@@ -8,7 +8,7 @@ from hypersteiner.ratio import Rat
 from hypersteiner import hyperlp, splitting, partition_decomp
 from hypersteiner.partition_decomp import (SetFunction, decompose,
                                            partition_function_eval,
-                                           slack_set_function, verify_claim1)
+                                           slack_set_function)
 
 from conftest import fractional_solution_n2
 
@@ -95,25 +95,3 @@ def test_slack_function_decomposition(frac_n2):
             assert dec(frozenset(sf.ground)) == len(F)
             checked += 1
     assert checked > 0
-
-
-def test_claim1_inequality(frac_n2):
-    inst, sol = frac_n2
-    X = hyperlp.blowup_from_solution(inst, sol)
-    Xb = splitting.binarize(X)
-    state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
-    K = sorted(state.K)
-    for r in range(0, 3):
-        for F in itertools.combinations(K, r):
-            ok, details = verify_claim1(X, state.K, frozenset(F))
-            assert ok, details
-
-
-def test_claim1_requires_subset_of_k(frac_n2):
-    inst, sol = frac_n2
-    X = hyperlp.blowup_from_solution(inst, sol)
-    Xb = splitting.binarize(X)
-    state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
-    outside = next(e for e in X.edges if e not in state.K)
-    with pytest.raises(ValueError):
-        verify_claim1(X, state.K, frozenset([outside]))

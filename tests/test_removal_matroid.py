@@ -4,7 +4,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat
-from hypersteiner import hyperlp, splitting, removal_matroid, oracles, sepflow
+from hypersteiner import hyperlp, splitting, removal_matroid, oracles
 
 from conftest import small_blowup, fractional_solution_n2, mixed_hypertree_point
 
@@ -51,11 +51,11 @@ def test_modes_agree(seed):
     for X in (small_blowup(seed % 500)[1], hyperlp.blowup_from_solution(*mixed)):
         eids = sorted(X.edges)
         for Q in _termsets(X):
-            g = sepflow.GammoidOracle(X, Q)
+            g = oracles.GammoidOracle(X, Q)
             c = removal_matroid.RemovalMatroid(X, Q)
             for _ in range(10):
                 F = frozenset(e for e in eids if rng.random() < 0.5)
-                assert (g.rank(F) == sepflow.min_slack_over_supersets(X, Q, F)[0]
+                assert (g.rank(F) == oracles.min_slack_over_supersets(X, Q, F)[0]
                         == c.rank(F))
 
 
@@ -65,7 +65,7 @@ def test_bases_equal_exhaustive_minimal_removals():
     for Q in _termsets(X):
         M = removal_matroid.RemovalMatroid(X, Q)
         want = set(map(frozenset, oracles.enumerate_minimal_removals(X, Q)))
-        got = set(map(frozenset, M.bases()))
+        got = set(map(frozenset, oracles.removal_bases(M)))
         assert want == got
         for B in got:
             assert len(B) == X.N * (len(Q) - 1)
@@ -110,7 +110,7 @@ def test_greedy_basis_on_fractional_points(seed):
     K = splitting.splitting_set(X, "dp").K
     for Q in _termsets(X):
         minimal = [frozenset(b) for b in oracles.enumerate_minimal_removals(X, Q)]
-        gammoid = sepflow.GammoidOracle(X, Q)
+        gammoid = oracles.GammoidOracle(X, Q)
         for ground in (K, frozenset(X.edges)):
             w = {e: Rat(rng.randint(0, 3), rng.randint(1, 2)) for e in ground}
             M = removal_matroid.RemovalMatroid(X, Q, groundset=ground)

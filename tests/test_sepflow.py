@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersteiner import sepflow, hyperlp
+from hypersteiner import sepflow, hyperlp, oracles
+from hypersteiner.cli import _anchor_minima
 from hypersteiner.instance import generate_random
 from hypersteiner.components import enumerate_components
 
@@ -29,7 +31,7 @@ def test_flow_equals_table_minimum(seed):
     order = X.terminal_order
     for r in range(1, len(order) + 1):
         for Q in itertools.combinations(order, r):
-            val, S = sepflow.min_slack_over_supersets(X, Q)
+            val, S = oracles.min_slack_over_supersets(X, Q)
             want = _table_min(X, Q)
             assert val == want
             assert frozenset(Q) <= S
@@ -44,8 +46,8 @@ def test_flow_with_removals():
         F = frozenset(F)
         for q in sorted(X.R):
             try:
-                val, _ = sepflow.min_slack_over_supersets(X, {q}, F)
-            except sepflow.NegativeTerminalLoad:
+                val, _ = oracles.min_slack_over_supersets(X, {q}, F)
+            except oracles.NegativeTerminalLoad:
                 continue
             assert val == _table_min(X, {q}, F)
 
@@ -81,7 +83,7 @@ def test_gammoid_rank_bounds():
         Q = X.copy_terminals(copy)
         if len(Q) < 2:
             continue
-        g = sepflow.GammoidOracle(X, Q)
+        g = oracles.GammoidOracle(X, Q)
         eids = sorted(X.edges)
         full = g.rank(eids)
         assert full == X.N * (len(Q) - 1)
@@ -99,8 +101,8 @@ def test_negative_load_without_violation_reports_none(frac_n2):
     inst, sol = frac_n2
     vals = {c: v for c, v in sol.values.items() if c.terminals != frozenset([1, 2])}
     X = hyperlp.blowup_from_solution(inst, hyperlp.FractionalSolution(sol.terminals, vals))
-    with pytest.raises(sepflow.NegativeTerminalLoad):
-        sepflow.min_slack_over_supersets(X, {1})
+    with pytest.raises(oracles.NegativeTerminalLoad):
+        oracles.min_slack_over_supersets(X, {1})
     assert int(X.slack_table().min()) >= 0
     assert sepflow.most_violated_mask(X) is None
 
@@ -109,7 +111,7 @@ def _flow_rule(X):
     """Most negative per-anchor flow minimum, then the smallest mask."""
     best = None
     for v in X.terminal_order:
-        val, S = sepflow.min_slack_over_supersets(X, {v})
+        val, S = oracles.min_slack_over_supersets(X, {v})
         if val < 0 and (best is None or (val, X.term_mask(S)) < best):
             best = (val, X.term_mask(S))
     return None if best is None else best[1]
@@ -133,5 +135,39 @@ def test_most_violated_mask_on_perturbed_points(seed):
     assert sepflow.most_violated_mask(X) == want
     try:
         assert _flow_rule(X) == want
-    except sepflow.NegativeTerminalLoad:
+    except oracles.NegativeTerminalLoad:
         pass
+
+
+def _anchor_points():
+    # LP optima, mixtures of hypertrees (N >= 2) and the same mixtures with
+    # one component doubled, where minimizers grow past the anchor
+    for seed in range(30):
+        yield small_blowup(seed)[1]
+    for seed in range(40):
+        inst, sol = mixed_hypertree_point(seed, 3)
+        comps = sorted(sol.values, key=lambda c: (sorted(c.terminals), c.edges))
+        doubled = dict(sol.values)
+        doubled[comps[seed % len(comps)]] *= 2
+        for vals in (sol.values, doubled):
+            point = hyperlp.FractionalSolution(sol.terminals, vals)
+            yield hyperlp.blowup_from_solution(inst, point)
+
+
+def test_anchor_minima_equal_flow_minima():
+    # `separate` reads each anchor's minimum and least minimizer off the
+    # slack table; the separation flow must give the same value and S,
+    # with no edge removed and with two random nonempty removals F
+    rng = random.Random(8)
+    checked = fractional = wider = 0
+    for X in _anchor_points():
+        fractional += X.N >= 2
+        eids = sorted(X.edges)
+        for F in [frozenset()] + [frozenset(rng.sample(eids, rng.randint(1, len(eids))))
+                                  for _ in range(2)]:
+            for row in _anchor_minima(X, X.slack_table(F)):
+                val, S = oracles.min_slack_over_supersets(X, {row["anchor"]}, F)
+                assert (row["min_slack"], row["argmin"]) == (val, sorted(S))
+                checked += 1
+                wider += len(S) > 1
+    assert fractional >= 40 and checked >= 1000 and wider >= 100
