@@ -1,17 +1,39 @@
 """Enumeration of candidate full components.
 
 A full component for a terminal subset S is a tree whose leaves are
-exactly S and whose internal vertices are non-terminals.  For each S we
-compute a minimum Steiner tree of S in the graph with all *other*
-terminals deleted (dynamic program over terminal subsets), reconstruct
-an optimal tree, and keep it only if it has the full-component shape.
-Costs are positive, so an optimal tree has no non-terminal leaf to
-prune.
+exactly S and whose internal vertices are non-terminals.  All of them
+come from one Dreyfus-Wagner pass over the masks of the sorted terminal
+list (`_dw_pass`) that never routes through a terminal: f[S][v] is the
+cheapest tree containing S and the non-terminal v in which the
+terminals of S are leaves and no other terminal appears.  A single
+terminal starts a Dijkstra that enters no terminal; a larger mask
+merges two of its submask layers at each non-terminal and then grows
+by one Dijkstra over the non-terminals.  full(S) is the cheapest of
+f[S][v] over the non-terminals v and, for a pair, the direct edge
+between its two terminals; that is 3^|R| merges in all, where solving
+every subset on its own costs about 4^|R|.
 
-The dynamic program runs on Python ints: costs are multiplied once per
-instance by L, the lcm of their denominators, and converted back once.
-`min_component_cost` returns the DP value over L; a component's cost is
-the exact sum of its edge costs, asserted equal to that value.
+Which subsets are kept.  Let opt(S) be the cost of a minimum Steiner
+tree of S in G - (R \\ S), and split(S) the minimum of opt(S1) + opt(S2)
+over t in S and S1 u S2 = S with S1 n S2 = {t}, |S1|, |S2| >= 2.  Then
+opt(S) = min(full(S), split(S)): costs are positive, so an optimal tree
+has no non-terminal leaf; it is either full, or some terminal t has
+degree >= 2 and cutting it at t parts its branches into two trees whose
+terminal sets meet in t, each holding a terminal besides t; and the
+union of two trees for S1 and S2 connects S.  S is kept iff
+full(S) < split(S); then every optimal tree of S is full.
+
+The LP value does not depend on the tied subsets, full(S) = split(S),
+that this rule drops.  Replacing x_S by the same amount on S1 and S2
+costs as much, keeps sum x_C (|C| - 1) because |S1| + |S2| = |S| + 1,
+and loads no subset U more: (|S1 n U| - 1)+ + (|S2 n U| - 1)+ is at most
+(|S n U| - 1)+, with equality when t is in U.  Split sides that are not
+kept split again, down to kept sets or pairs, which are never split.
+
+The pass runs on Python ints: costs are multiplied once per instance by
+L, the lcm of their denominators, heap keys are exact (int distance,
+vertex index) pairs, and values are converted back once.  A component's
+cost is the exact sum of its edge costs, asserted equal to full(S) / L.
 
 Footnote for context: restricting attention to components with at most k
 terminals loses at most a factor 1 + 1/floor(log2 k) in the LP value;
@@ -19,7 +41,6 @@ we default to k = |R| so nothing is lost.
 """
 
 import heapq
-import itertools
 
 from .ratio import Rat, R0, lcm_denominators
 from .instance import edge_key
@@ -55,126 +76,115 @@ class Component:
         return "Component(R=%s, cost=%s)" % (sorted(self.terminals), self.cost)
 
 
-def _steiner_dp(nodes, adj, sources):
-    """Dreyfus-Wagner over the given graph for the terminal list `sources`.
+def _dw_pass(inst, R, max_size):
+    """One Dreyfus-Wagner pass over the masks of the sorted terminal list
+    R with at most `max_size` terminals; terminals outside R are never
+    entered, so this is the graph G - (set(inst.terminals) - set(R)).
 
-    `adj` maps each node to (neighbour, cost) pairs with int costs.
-    Returns (best_cost, edge_set) for a minimum tree connecting all of
-    `sources`, or (None, None) if they are not connected.  Tie-breaking is
-    deterministic: vertices scanned in sorted order, submasks ascending,
-    Dijkstra pops by (exact distance, vertex).
+    Returns (L, kept, opt, tree): `kept` lists the masks with
+    full(S) < split(S) in increasing order, opt[mask] is opt(S) scaled by
+    L (None when S cannot be connected), and tree(mask) the edge set of
+    a tree of cost opt[mask]: the full tree when full(S) = opt(S), else
+    the union of the trees of an optimal split.  Ties break towards the
+    direct edge, then the first non-terminal in sorted order, the first
+    submask in descending order and the first terminal t.
     """
-    k = len(sources)
-    full = (1 << k) - 1
-    nodes = sorted(nodes)
-    dp = [dict() for _ in range(full + 1)]
-    back = [dict() for _ in range(full + 1)]
-
-    for i, t in enumerate(sources):
-        dp[1 << i][t] = 0
-        back[1 << i][t] = ("base",)
-
-    for mask in range(1, full + 1):
-        if mask & (mask - 1):
-            # merge two sub-trees at a common vertex
-            sub = (mask - 1) & mask
-            while sub:
-                rest = mask ^ sub
-                if sub < rest:  # each unordered split once
-                    for v in nodes:
-                        a = dp[sub].get(v)
-                        b = dp[rest].get(v)
-                        if a is not None and b is not None:
-                            c = a + b
-                            cur = dp[mask].get(v)
-                            if cur is None or c < cur:
-                                dp[mask][v] = c
-                                back[mask][v] = ("merge", sub, rest, v)
-                sub = (sub - 1) & mask
-        # grow along shortest paths: one Dijkstra over the dp layer
-        dist = {v: dp[mask].get(v) for v in nodes}
-        origin = {v: v if dist[v] is not None else None for v in nodes}
-        heap = [(d, v) for v, d in dist.items() if d is not None]
-        heapq.heapify(heap)
-        done = set()
-        prev = {v: None for v in nodes}
-        while heap:
-            _, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for w, c in adj[u]:
-                nd = dist[u] + c
-                if dist[w] is None or nd < dist[w]:
-                    dist[w] = nd
-                    prev[w] = u
-                    origin[w] = origin[u]
-                    heapq.heappush(heap, (nd, w))
-        for v in nodes:
-            if dist[v] is None:
-                continue
-            cur = dp[mask].get(v)
-            if cur is None or dist[v] < cur:
-                dp[mask][v] = dist[v]
-                # record the attachment vertex; path recovered via prev
-                if prev[v] is not None:
-                    # walk back to the origin of the path
-                    path = [v]
-                    u = v
-                    while prev[u] is not None:
-                        u = prev[u]
-                        path.append(u)
-                    back[mask][v] = ("path", origin[v], tuple(path))
-
-    best_v = None
-    best = None
-    for v in nodes:
-        c = dp[full].get(v)
-        if c is not None and (best is None or c < best):
-            best, best_v = c, v
-    if best is None:
-        return None, None
-
-    edges = set()
-
-    def rec(mask, v):
-        tag = back[mask][v]
-        if tag[0] == "base":
-            return
-        if tag[0] == "merge":
-            _, sub, rest, u = tag
-            rec(sub, u)
-            rec(rest, u)
-        else:
-            _, org, path = tag
-            for a, b in zip(path, path[1:]):
-                edges.add(edge_key(a, b))
-            rec(mask, org)
-
-    rec(full, best_v)
-    return best, edges
-
-
-def _int_adjacency(inst):
-    """(L, adj): L is the lcm of the cost denominators and adj maps every
-    vertex to (neighbour, cost * L) pairs, the costs as Python ints."""
     L = lcm_denominators(inst.costs.values())
-    adj = {v: [(w, int(c * L)) for (w, c) in inst.neighbors(v)]
-           for v in inst.vertices}
-    return L, adj
+    iadj = {v: [(w, int(c * L)) for (w, c) in inst.neighbors(v)]
+            for v in inst.vertices}
+    NT = sorted(inst.vertices - inst.terminals)
+    idx = {v: j for j, v in enumerate(NT)}
+    pos = {t: i for i, t in enumerate(R)}
+    nadj = [[(idx[w], c) for w, c in iadj[v] if w in idx] for v in NT]
+    n, size = len(NT), 1 << len(R)
+    inf = 1 + sum(int(c * L) for c in inst.costs.values())  # above any tree
+    f, back = [None] * size, [None] * size
+    full, arg, opt, via = [inf] * size, [-1] * size, [inf] * size, [None] * size
+    kept = []
+    for i, t in enumerate(R):
+        opt[1 << i] = 0
+        for w, c in iadj[t]:
+            if w in pos:
+                full[1 << i | 1 << pos[w]] = c  # direct edge, arg -1
+    for mask in range(1, size):
+        bits = mask.bit_count()
+        if bits > max_size:
+            continue
+        # d[j]: f[mask] at NT[j]; b[j]: predecessor index on the grow
+        # path, -sub for a merge of sub and mask ^ sub, None for an edge
+        # from the mask's single terminal
+        d, b = [inf] * n, [None] * n
+        if bits == 1:
+            for w, c in iadj[R[mask.bit_length() - 1]]:
+                if w in idx:
+                    d[idx[w]] = c
+        else:
+            low = mask ^ (1 << (mask.bit_length() - 1))
+            sub = low  # the side without the highest bit: each pair once
+            while sub:
+                fa, fb = f[sub], f[mask ^ sub]
+                for j in range(n):
+                    x = fa[j] + fb[j]
+                    if x < d[j]:
+                        d[j], b[j] = x, -sub
+                sub = (sub - 1) & low
+        heap = [(x, j) for j, x in enumerate(d) if x < inf]
+        heapq.heapify(heap)
+        while heap:
+            x, j = heapq.heappop(heap)
+            if x > d[j]:
+                continue
+            for w, c in nadj[j]:
+                y = x + c
+                if y < d[w]:
+                    d[w], b[w] = y, j
+                    heapq.heappush(heap, (y, w))
+        f[mask], back[mask] = d, b
+        if bits == 1:
+            continue
+        for j, x in enumerate(d):
+            if x < full[mask]:
+                full[mask], arg[mask] = x, j
+        split = inf
+        for i in range(len(R)):
+            t = 1 << i
+            if not mask & t:
+                continue
+            rest = mask ^ t
+            low = rest ^ (1 << (rest.bit_length() - 1))
+            sub = low  # S1 = sub + t, S2 = mask - sub
+            while sub:
+                x = opt[sub | t] + opt[mask ^ sub]
+                if x < split:
+                    split, via[mask] = x, (sub | t, mask ^ sub)
+                sub = (sub - 1) & low
+        if full[mask] < split:
+            kept.append(mask)
+        opt[mask] = min(full[mask], split)
 
+    def full_tree(mask):
+        if arg[mask] < 0:
+            return {edge_key(*(t for t in R if mask >> pos[t] & 1))}
+        edges, stack = set(), [(mask, arg[mask])]
+        while stack:
+            m, j = stack.pop()
+            p = back[m][j]
+            while p is not None and p >= 0:
+                edges.add(edge_key(NT[p], NT[j]))
+                j, p = p, back[m][p]
+            if p is None:
+                edges.add(edge_key(R[m.bit_length() - 1], NT[j]))
+            else:
+                stack += [(-p, j), (m ^ -p, j)]
+        return edges
 
-def _min_tree(inst, iadj, S):
-    """Dreyfus-Wagner for the sorted terminal list S on the int adjacency
-    `iadj`, with all other terminals deleted: (scaled cost, edges), or
-    (None, None) if S cannot be connected there."""
-    banned = inst.terminals - set(S)
-    nodes = [v for v in inst.vertices if v not in banned]
-    nodeset = set(nodes)
-    if any(t not in nodeset for t in S):
-        return None, None
-    adj = {v: [(w, c) for (w, c) in iadj[v] if w in nodeset] for v in nodes}
-    return _steiner_dp(nodes, adj, S)
+    def tree(mask):
+        if full[mask] == opt[mask]:
+            return full_tree(mask)
+        S1, S2 = via[mask]
+        return tree(S1) | tree(S2)
+
+    return L, kept, [None if x >= inf else x for x in opt], tree
 
 
 def min_component_cost(inst, terminal_subset, return_tree=False):
@@ -184,42 +194,22 @@ def min_component_cost(inst, terminal_subset, return_tree=False):
     S = sorted(terminal_subset)
     if len(S) < 2:
         raise ValueError("need at least 2 terminals in the subset")
-    L, iadj = _int_adjacency(inst)
-    best, edges = _min_tree(inst, iadj, S)
+    if not set(S) <= inst.terminals:
+        raise ValueError("the subset holds a vertex that is not a terminal")
+    L, _, opt, tree = _dw_pass(inst, S, len(S))
+    best = opt[-1]
     if best is None:
         return (None, None) if return_tree else None
     cost = Rat(best, L)
-    return (cost, edges) if return_tree else cost
-
-
-def _as_full_component(inst, S, edges):
-    """Accept the tree `edges` only if its leaves are exactly S and its
-    internal vertices are non-terminals."""
-    deg = {}
-    for (u, v) in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    S = set(S)
-    for v, d in deg.items():
-        if v in S:
-            if d != 1:
-                return None  # terminal is internal
-        elif d == 1:
-            return None  # non-terminal leaf
-    if set(deg) & (inst.terminals - S):
-        return None
-    if not all(deg.get(t, 0) == 1 for t in S):
-        return None
-    realized = sum((inst.costs[e] for e in edges), R0)
-    return Component(S, edges, realized)
+    return (cost, tree(len(opt) - 1)) if return_tree else cost
 
 
 def enumerate_components(inst, max_size=None):
     """All candidate full components over terminal subsets of size 2..max_size.
 
-    For each subset the minimum tree (other terminals deleted) is computed;
-    subsets whose optimum is not shaped like a full component are dropped.
-    Returns components sorted by (size, terminal bitmask) for determinism.
+    A subset is kept iff its cheapest full tree is strictly cheaper than
+    every split of it at a terminal (see the module docstring).  Returns
+    components sorted by (size, terminal bitmask) for determinism.
     """
     R = sorted(inst.terminals)
     if max_size is None:
@@ -229,21 +219,14 @@ def enumerate_components(inst, max_size=None):
     if len(R) > FULL_ENUM_TERMINAL_CAP:
         raise ValueError("too many terminals for full enumeration (cap %d)"
                          % FULL_ENUM_TERMINAL_CAP)
-    L, iadj = _int_adjacency(inst)
+    L, kept, opt, tree = _dw_pass(inst, R, max_size)
     out = []
-    for size in range(2, max_size + 1):
-        for S in itertools.combinations(R, size):
-            best, edges = _min_tree(inst, iadj, S)
-            if best is None:
-                continue
-            comp = _as_full_component(inst, S, edges)
-            if comp is not None:
-                # costs are positive, so the optimal tree counts no edge
-                # twice and its realized cost is the DP value scaled back
-                assert comp.cost == Rat(best, L), (S, comp.cost, best, L)
-                out.append(comp)
-    order = {t: i for i, t in enumerate(R)}
-    out.sort(key=lambda c: (len(c.terminals),
-                            sum(1 << order[t] for t in c.terminals),
-                            c.edges))
+    for mask in sorted(kept, key=lambda m: (m.bit_count(), m)):
+        edges = tree(mask)
+        comp = Component([t for i, t in enumerate(R) if mask >> i & 1], edges,
+                         sum((inst.costs[e] for e in edges), R0))
+        # an optimal full tree counts no edge twice, so its realized cost
+        # is the pass value scaled back
+        assert comp.cost == Rat(opt[mask], L), (comp, opt[mask], L)
+        out.append(comp)
     return out

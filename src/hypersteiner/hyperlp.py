@@ -185,10 +185,13 @@ class BlowupGraph:
     def slack_table(self, F=frozenset()):
         """numpy int64 vector of h(S) over all 2^|R| terminal masks (entry 0
         is set to 0 by convention).  Ids in F that are not edges of the
-        graph are ignored."""
+        graph are ignored.  The table of X itself (F empty) is built once
+        and shared, so it is read-only."""
         r = len(self.terminal_order)
         if r > TABLE_TERMINAL_CAP:
             raise ValueError("terminal set too large for slack tables")
+        if not F and "table" in self._memo:
+            return self._memo["table"]
         pcm1 = self._pcm1()
         pc = pcm1 + np.minimum(np.arange(1 << r, dtype=np.int64), 1)  # popcount via (x-1)+ + [x>0]
         h = self.N * (pc - 1)
@@ -201,6 +204,9 @@ class BlowupGraph:
         for ci, copy in enumerate(self.copies):
             h -= self._copy_contrib(copy, frozenset(removed.get(ci, ())))
         h[0] = 0
+        if not F:
+            h.setflags(write=False)
+            self._memo["table"] = h
         return h
 
     def is_feasible(self):

@@ -1,9 +1,10 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat, lcm_denominators
-from hypersteiner.instance import SteinerInstance, generate_random
+from hypersteiner.instance import SteinerInstance, generate_random, orient
 from hypersteiner.components import enumerate_components, min_component_cost
 from hypersteiner import oracles
 
@@ -42,8 +43,15 @@ def test_full_component_shape():
 
 
 def _restricted(inst, S):
-    """Drop the terminals outside S (they may not route a component)."""
-    keep = inst.vertices - (inst.terminals - S)
+    """The instance on what S reaches without the terminals outside S
+    (they may not route a component), or None if S is not connected
+    there."""
+    banned = inst.terminals - S
+    adj = {v: [(w, c) for (w, c) in inst.neighbors(v) if w not in banned]
+           for v in inst.vertices - banned}
+    keep = set(orient(adj, [min(S)])[0])
+    if not S <= keep:
+        return None
     costs = {e: c for e, c in inst.costs.items()
              if e[0] in keep and e[1] in keep}
     return SteinerInstance(keep, costs, S)
@@ -51,11 +59,54 @@ def _restricted(inst, S):
 
 def _assert_costs_exhaustive(inst):
     for c in enumerate_components(inst):
-        try:
-            sub = _restricted(inst, c.terminals)
-        except ValueError:
-            continue
-        assert c.cost == oracles.exhaustive_steiner_cost(sub)
+        assert c.cost == oracles.exhaustive_steiner_cost(
+            _restricted(inst, c.terminals))
+
+
+def _splits(S):
+    """(S1, S2) with S1 | S2 = S, S1 & S2 = {t} and both of size >= 2."""
+    for t in S:
+        rest = [u for u in S if u != t]
+        for r in range(1, len(rest)):
+            for A in itertools.combinations(rest, r):
+                yield tuple(sorted(A + (t,))), tuple(u for u in S if u not in A)
+
+
+def _assert_keep_rule(inst):
+    """S is kept iff it is connected without the other terminals and its
+    optimum there, from the reference DP, is strictly below every split
+    at a shared terminal; a kept component costs that optimum."""
+    R = sorted(inst.terminals)
+    opt = {}
+    for r in range(2, len(R) + 1):
+        for S in itertools.combinations(R, r):
+            sub = _restricted(inst, frozenset(S))
+            opt[S] = None if sub is None else oracles.exact_steiner_tree(sub)[0]
+    kept = {tuple(sorted(c.terminals)): c.cost for c in enumerate_components(inst)}
+    for S, best in opt.items():
+        splits = [opt[S1] + opt[S2] for S1, S2 in _splits(S)
+                  if opt[S1] is not None and opt[S2] is not None]
+        want = best is not None and all(best < s for s in splits)
+        assert (S in kept) == want, (S, best, splits)
+        if want:
+            assert kept[S] == best
+
+
+@pytest.mark.parametrize("T, steiner, seed", [
+    (3, 3, 2), (4, 3, 0), (5, 2, 8), (5, 4, 3), (6, 3, 9),
+])
+def test_keep_rule_matches_reference(T, steiner, seed):
+    # every instance but the first holds a subset whose cheapest
+    # full tree costs as much as a split of it: a rule keeping ties fails
+    _assert_keep_rule(generate_random(T, steiner, 0.45, seed=seed))
+
+
+def test_keep_rule_rational_costs():
+    for seed in range(4):
+        base = generate_random(3 + seed, 3, 0.45, seed=seed)
+        costs = {e: c / 7 + Rat(seed, 6) for e, c in base.costs.items()}
+        _assert_keep_rule(SteinerInstance(base.vertices, costs, base.terminals))
+    _assert_keep_rule(_inverse_prime_instance())
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat, LN4_UPPER
 from hypersteiner.instance import generate_random
-from hypersteiner import contract_alg, oracles
+from hypersteiner import contract_alg, hyperlp, oracles
+from hypersteiner.components import enumerate_components
 
 from conftest import (fractional_solution_n2, mixed_hypertree_point,
                       triangle_star_instance)
@@ -29,6 +30,18 @@ def test_run_quasi_bound(seed):
                            quasi_bipartite=True)
     tree, cert = contract_alg.run(inst, strategy="quasi", check=True)
     assert 60 * cert["tree_cost"] <= 73 * cert["lp_value"]
+
+
+def test_run_above_full_enum_cap():
+    # 13 terminals: the LP runs the cutting-plane branch, whose rows come
+    # from violated subsets read off slack tables
+    inst = generate_random(13, 3, 0.45, seed=1)
+    assert len(inst.terminals) > hyperlp.FULL_ENUM_CAP
+    sol = hyperlp.solve_lp_exact(inst, enumerate_components(inst))
+    assert sol.check_feasible()
+    tree, cert = contract_alg.run_from_solution(inst, sol, check=True)
+    assert cert["lp_value"] == sol.objective
+    assert tree.cost <= cert["phi_over_N"] <= LN4_UPPER * sol.objective
 
 
 def test_fractional_n2_both_strategies():

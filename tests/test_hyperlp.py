@@ -71,6 +71,10 @@ def test_slack_table_matches_definition(frac_n2):
             for vs, _ in X.copy_pieces(copy, frozenset()):
                 cover += max(len(S & set(vs) & X.R) - 1, 0)
         assert int(table[m]) == X.N * (len(S) - 1) - cover
+    # the table of X is built once and shared, so it is read-only
+    assert X.slack_table() is table and X.slack_table(()) is table
+    with pytest.raises(ValueError):
+        table[0] = 1
 
 
 def test_remove_edges_and_feasibility(frac_n2):

@@ -87,21 +87,35 @@ def test_minimal_removal_sizes(frac_n2):
             assert len(B) == X.N * (len(Q) - 1)
 
 
+def _imported_modules(path):
+    """Every dotted-name part a module's import statements name."""
+    parts = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        for n in names:
+            parts.update(n.split("."))
+    return parts
+
+
+PACKAGE_MODULES = sorted(pathlib.Path(oracles.__file__).parent.glob("*.py"))
+
+
 def test_only_cli_imports_oracles():
     # the references stay out of the pipeline: of the package modules,
     # only the CLI's verify suites may import them
-    src = pathlib.Path(oracles.__file__).parent
-    offenders = []
-    for path in sorted(src.glob("*.py")):
-        if path.name == "cli.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            if any("oracles" in n.split(".") for n in names):
-                offenders.append(path.name)
+    offenders = [path.name for path in PACKAGE_MODULES
+                 if path.name != "cli.py" and "oracles" in _imported_modules(path)]
     assert offenders == []
+
+
+def test_only_components_imports_heapq():
+    # one shortest-path routine in production: outside the references,
+    # the Dreyfus-Wagner pass of components.py is the only heap user
+    importers = [path.name for path in PACKAGE_MODULES
+                 if path.name != "oracles.py" and "heapq" in _imported_modules(path)]
+    assert importers == ["components.py"]
