@@ -1,14 +1,16 @@
 """Deterministic contraction loop on a blowup graph.
 
-Starting from a feasible blowup graph X with splitting set K, witness
-sets W and weights w, each iteration:
+Starting from a feasible blowup graph X and one splitting.SplittingState
+of it (splitting set K, witness sets W, weights w, potential), each
+iteration:
 
   1. picks the piece Q maximizing w(B^Q)/N - cost(Q), where B^Q is a
      greedy max-weight basis of the removable-set matroid of Q's
      terminals restricted to K (a nonnegative maximum always exists);
   2. removes B^Q together with F = {cleanup e | W(e) subset of B^Q},
-     contracts Q's terminals to a fresh terminal, and shrinks witnesses
-     to W(e) - B^Q;
+     contracts Q's terminals to a fresh terminal, and carries the
+     splitting state over: K - B^Q and witnesses W(e) - B^Q
+     (SplittingState.contracted);
   3. adds the source-graph edges of Q to the output tree.
 
 The potential Phi = sum c(e) H(|W(e)|) drops by at least w(B^Q) per
@@ -28,23 +30,19 @@ class InvariantViolation(AssertionError):
 
 
 class AlgorithmState:
-    """Whole-value state of one contraction run."""
+    """State of one contraction run: the splitting state of the current
+    blowup graph, the output edges so far and the iteration log."""
 
-    __slots__ = ("X", "K", "witness", "weights", "phi", "tree_edges", "log",
-                 "check")
+    __slots__ = ("split", "tree_edges", "log", "check")
 
-    def __init__(self, X, split_state, check=False):
-        self.X = X
-        self.K = set(split_state.K)
-        self.witness = dict(split_state.witness)
-        self.weights = dict(split_state.weights)
-        self.phi = split_state.potential  # carried from step to step
+    def __init__(self, split, check=False):
+        self.split = split
         self.tree_edges = set()
         self.log = []
         self.check = check
 
     def done(self):
-        return len(self.X.R) <= 1
+        return len(self.split.X.R) <= 1
 
 
 def select_component(state):
@@ -54,7 +52,8 @@ def select_component(state):
     each group is represented by its cheapest copy, ties to the smaller
     copy id.  The winning score is asserted nonnegative.  With check,
     each group's basis is ranked again on a full slack table."""
-    X = state.X
+    split = state.split
+    X = split.X
     groups = {}
     for copy in X.copies:
         T = X.copy_terminals(copy)
@@ -66,17 +65,17 @@ def select_component(state):
             groups[T] = (cost, copy)
     if not groups:
         raise InvariantViolation("no piece with two terminals but |R| > 1")
-    order = weight_order(state.K, state.weights)
+    order = weight_order(split.K, split.weights)
     best = None
     for T in sorted(groups, key=lambda T: groups[T][1].id):
         cost, copy = groups[T]
-        M = RemovalMatroid(X, T, groundset=state.K)
-        B = greedy_max_weight_basis(M, state.weights, order)
+        M = RemovalMatroid(X, T, groundset=split.K)
+        B = greedy_max_weight_basis(M, split.weights, order)
         if state.check and M.rank(B) != M.full_rank:
             raise InvariantViolation("greedy basis for terminals %s has rank "
                                      "%d < %d on a full slack table"
                                      % (sorted(T), M.rank(B), M.full_rank))
-        score = sum((state.weights[e] for e in B), R0) / X.N - cost
+        score = sum((split.weights[e] for e in B), R0) / X.N - cost
         if best is None or score > best[0]:
             best = (score, copy, B)
     score, copy, B = best
@@ -87,54 +86,38 @@ def select_component(state):
 
 
 def contract_step(state, Q, B):
-    """Apply one contraction with basis B at piece Q; returns a new state."""
-    X = state.X
+    """Apply one contraction with basis B at piece Q to state."""
+    split = state.split
+    X = split.X
     B = frozenset(B)
-    F = frozenset(e for e in X.edges
-                  if e not in state.K and state.witness[e] <= B)
-    wB = sum((state.weights[e] for e in B), R0)
+    F = frozenset(e for e, W in split.witness.items() if W <= B)
+    wB = sum((split.weights[e] for e in B), R0)
     for e in Q.edge_ids:
         orig = X.edges[e].orig
         if orig is not None:
             state.tree_edges.add(orig)
     TQ = X.copy_terminals(Q)
-    X1 = X.remove_edges(B | F)
-    X2, z = X1.contract_terminals(TQ)
-
-    new_state = AlgorithmState.__new__(AlgorithmState)
-    new_state.X = X2
-    new_state.K = state.K - B
-    new_state.witness = {e: (w - B) for e, w in state.witness.items()
-                         if e in X2.edges}
-    new_state.weights = _reweigh(X2, new_state.K, new_state.witness)
-    new_state.phi = _split.potential(X2, new_state.K, new_state.witness)
-    new_state.tree_edges = state.tree_edges
-    new_state.log = state.log
-    new_state.check = state.check
-
-    if state.phi - new_state.phi < wB:
+    X2, z = X.remove_edges(B | F).contract_terminals(TQ)
+    try:
+        state.split = split.contracted(X2, B)
+    except _split.SplittingError as exc:
+        raise InvariantViolation(str(exc)) from None
+    phi = state.split.potential
+    if split.potential - phi < wB:
         raise InvariantViolation("potential dropped by %s < basis weight %s"
-                                 % (state.phi - new_state.phi, wB))
-    new_state.log.append({
+                                 % (split.potential - phi, wB))
+    state.log.append({
         "terminals": sorted(TQ), "new_terminal": z,
         "component_cost": X.copy_cost(Q),
         "basis_size": len(B), "basis_weight": wB,
-        "cleaned": len(F), "phi": new_state.phi,
+        "cleaned": len(F), "phi": phi,
     })
     if state.check:
-        _full_check(new_state)
-    return new_state
+        _full_check(state.split)
 
 
-def _reweigh(X, K, witness):
-    for f, W in witness.items():
-        if not W:
-            raise InvariantViolation("cleanup edge %d lost all witnesses" % f)
-    return _split.core_weights(X, K, witness)
-
-
-def _full_check(state):
-    X = state.X
+def _full_check(split):
+    X = split.X
     if len(X.R) > 1 and not X.is_feasible():
         raise InvariantViolation("contracted blowup graph is infeasible")
     # no pendant non-terminals
@@ -144,14 +127,14 @@ def _full_check(state):
                 raise InvariantViolation("pendant non-terminal %d survived "
                                          "cleanup in copy %d" % (v, copy.id))
     if len(X.R) > 1:
-        # K still splits X, and the shrunk witnesses and the carried
+        # K still splits X, and the carried witnesses, weights and
         # potential match a recomputation
-        fresh = _split.compute_witnesses_and_weights(X, state.K)
-        if fresh.witness != state.witness:
+        fresh = _split.compute_witnesses_and_weights(X, split.K)
+        if fresh.witness != split.witness:
             raise InvariantViolation("incremental witness update diverged")
-        if fresh.weights != state.weights:
+        if fresh.weights != split.weights:
             raise InvariantViolation("incremental weight update diverged")
-        if fresh.potential != state.phi:
+        if fresh.potential != split.potential:
             raise InvariantViolation("carried potential diverged")
 
 
@@ -172,16 +155,15 @@ def run_from_solution(instance, sol, strategy="dp", seed=0, check=False,
     """Contraction loop for any feasible fractional solution (the LP
     optimum or a hand-built feasible point)."""
     X0 = blowup_from_solution(instance, sol)
-    st = _split.splitting_set(X0, strategy, seed)
-    state = AlgorithmState(X0, st, check=check)
-    phi0 = state.phi
-    guard = len(state.K) + 1
+    state = AlgorithmState(_split.splitting_set(X0, strategy, seed), check=check)
+    phi0 = state.split.potential
+    guard = len(state.split.K) + 1
     while not state.done():
         guard -= 1
         if guard < 0:
             raise InvariantViolation("contraction loop failed to terminate")
         Q, B = select_component(state)
-        state = contract_step(state, Q, B)
+        contract_step(state, Q, B)
     total_q = sum((entry["component_cost"] for entry in state.log), R0)
     if total_q * X0.N > phi0:
         raise InvariantViolation("contracted cost exceeds potential bound")
@@ -204,24 +186,19 @@ def run_from_solution(instance, sol, strategy="dp", seed=0, check=False,
 
 def _prune_to_tree(instance, edges):
     """Spanning tree of the accumulated edge set, non-terminal leaves
-    removed (cheapest-first Kruskal, ties by edge key)."""
+    removed round by round (cheapest-first Kruskal, ties by edge key)."""
     uf = UnionFind(sorted({v for e in edges for v in e}))
     tree = set()
     for e in sorted(edges, key=lambda e: (instance.costs[e], e)):
         if uf.union(e[0], e[1]):
             tree.add(e)
-    changed = True
-    while changed:
-        changed = False
+    while True:
         deg = {}
-        for (u, v) in tree:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        for e in sorted(tree):
-            u, v = e
-            if ((deg.get(u, 0) == 1 and u not in instance.terminals)
-                    or (deg.get(v, 0) == 1 and v not in instance.terminals)):
-                tree.discard(e)
-                changed = True
-                break
-    return SteinerTree(instance, tree)
+        for e in tree:
+            for v in e:
+                deg[v] = deg.get(v, 0) + 1
+        leaves = {e for e in tree
+                  if any(deg[v] == 1 and v not in instance.terminals for v in e)}
+        if not leaves:
+            return SteinerTree(instance, tree)
+        tree -= leaves

@@ -36,18 +36,14 @@ TABLE_TERMINAL_CAP = 16
 
 
 class BlowupEdge:
-    __slots__ = ("id", "u", "v", "cost", "copy_id", "orig")
+    __slots__ = ("id", "u", "v", "cost", "orig")
 
-    def __init__(self, eid, u, v, cost, copy_id, orig=None):
+    def __init__(self, eid, u, v, cost, orig=None):
         self.id = eid
         self.u = u
         self.v = v
         self.cost = cost
-        self.copy_id = copy_id
         self.orig = orig      # edge key of the source instance, if any
-
-    def other(self, v):
-        return self.u if v == self.v else self.v
 
     def __repr__(self):
         return "E%d(%d-%d, c=%s)" % (self.id, self.u, self.v, self.cost)
@@ -234,9 +230,7 @@ class BlowupGraph:
                 if not eids:
                     continue
                 for eid in eids:
-                    old = self.edges[eid]
-                    new_edges[eid] = BlowupEdge(eid, old.u, old.v, old.cost, cid,
-                                                old.orig)
+                    new_edges[eid] = self.edges[eid]
                 copies.append(BlowupCopy(cid, eids, vs, ("p", cid)))
                 cid += 1
         return BlowupGraph(self.N, self.R, copies, new_edges,
@@ -268,7 +262,7 @@ class BlowupGraph:
                 old = self.edges[eid]
                 new_edges[eid] = BlowupEdge(eid, sub.get(old.u, old.u),
                                             sub.get(old.v, old.v),
-                                            old.cost, copy.id, old.orig)
+                                            old.cost, old.orig)
             copies.append(BlowupCopy(copy.id, copy.edge_ids, vs, ("z", copy.shape, z)))
         R = (self.R - TQ) | {z}
         return BlowupGraph(self.N, R, copies, new_edges,
@@ -329,7 +323,7 @@ def blowup_from_solution(instance, solution):
                         vs.add(vid)
                         vid += 1
                 edges[eid] = BlowupEdge(eid, vmap[u], vmap[v],
-                                        instance.costs[(u, v)], cid, orig=(u, v))
+                                        instance.costs[(u, v)], orig=(u, v))
                 e_ids.append(eid)
                 eid += 1
             copies.append(BlowupCopy(cid, e_ids, vs, ("c", comp.edges)))

@@ -17,9 +17,15 @@ vertex.  Weights on core edges:
 which conserves total cost.  The potential is
 Phi = sum over all edges of c(e) * H(|W(e)|) with H the harmonic numbers.
 
-Splitting strategies: uniformly random per-node choices, a quasi-
-bipartite cheapest-edge rule, and an exact dynamic program minimizing
-Phi (per copy, over rooted partial trees).
+Splitting strategies: an exact dynamic program minimizing Phi (per copy,
+over rooted partial trees, on the copies as they are), a quasi-bipartite
+cheapest-edge rule, and uniformly random per-node choices.  Only the
+random rule, whose expectation bound holds on degree-3 trees, runs on
+binarize(X) and is carried back to X by map_back.
+
+A SplittingState holds K, its witnesses, weights and potential; the
+contraction loop carries one, shrinking it after each step
+(SplittingState.contracted).
 
 Every walk over a copy is one `instance.orient` over the copy's
 `BlowupGraph.adjacency`: the cleanup trees from their terminals (witness
@@ -41,31 +47,31 @@ class SplittingError(ValueError):
 
 
 class SplittingState:
-    """K plus derived data, all relative to one blowup graph."""
+    """K with its witness sets, core weights and potential, all relative
+    to one blowup graph; computed once, carried through contraction."""
 
-    __slots__ = ("X", "K", "witness", "weights")
+    __slots__ = ("X", "K", "witness", "weights", "potential")
 
-    def __init__(self, X, K, witness, weights):
+    def __init__(self, X, K, witness):
         self.X = X
         self.K = frozenset(K)
         self.witness = dict(witness)   # cleanup edge id -> frozenset of core ids
-        self.weights = dict(weights)   # core edge id -> rational
+        self.weights = core_weights(X, self.K, self.witness)  # core id -> rational
+        # Phi = sum over the edges of X of c(e) H(|W(e)|), |W(e)| = 1 on K
+        self.potential = (sum((X.edges[e].cost for e in self.K), R0)
+                          + sum((X.edges[f].cost * harmonic(len(W))
+                                 for f, W in self.witness.items()), R0))
 
-    @property
-    def potential(self):
-        return potential(self.X, self.K, self.witness)
-
-
-def potential(X, K, witness):
-    """Phi = sum over the edges of X of c(e) H(|W(e)|), with |W(e)| = 1
-    on the core edges K."""
-    phi = R0
-    for eid, e in X.edges.items():
-        if eid in K:
-            phi += e.cost
-        else:
-            phi += e.cost * harmonic(len(witness[eid]))
-    return phi
+    def contracted(self, X2, B):
+        """State on X2 = (X - B - F)/Q, F the cleanup edges whose witnesses
+        lie in B: K - B, and W(e) - B on the cleanup edges left in X2."""
+        witness = {}
+        for f, W in self.witness.items():
+            if f in X2.edges:
+                witness[f] = W - B
+                if not witness[f]:
+                    raise SplittingError("cleanup edge %d lost all witnesses" % f)
+        return SplittingState(X2, self.K - B, witness)
 
 
 # ---- witnesses and weights ----------------------------------------------
@@ -79,10 +85,10 @@ def compute_witnesses_and_weights(X, K):
     witness = {}
     for copy in X.copies:
         _copy_witnesses(X, copy, K, witness)
-    weights = core_weights(X, K, witness)
-    total = sum(weights.values(), R0)
-    assert total == X.total_cost(), "weight conservation failed"
-    return SplittingState(X, K, witness, weights)
+    state = SplittingState(X, K, witness)
+    assert sum(state.weights.values(), R0) == X.total_cost(), \
+        "weight conservation failed"
+    return state
 
 
 def core_weights(X, K, witness):
@@ -141,17 +147,17 @@ def _copy_witnesses(X, copy, K, witness):
 
 
 def splitting_set(X, strategy, seed=0):
-    """SplittingState of X by strategy: "quasi" (cheapest-edge rule on
-    star copies), or "dp" / "random" chosen on binarize(X) and carried
-    back to X with map_back."""
+    """SplittingState of X by strategy: "dp" (minimum potential, on X
+    itself), "quasi" (cheapest-edge rule on star copies), or "random"
+    (chosen on binarize(X) and carried back to X with map_back)."""
+    if strategy == "dp":
+        return optimal_splitting_set(X)
     if strategy == "quasi":
         return quasi_bipartite_splitting_set(X)
-    if strategy not in ("dp", "random"):
+    if strategy != "random":
         raise ValueError("unknown strategy %r" % strategy)
     Xb = binarize(X)
-    state_b = (optimal_splitting_set(Xb) if strategy == "dp"
-               else random_splitting_set(Xb, seed))
-    return map_back(X, Xb, state_b)
+    return map_back(X, Xb, random_splitting_set(Xb, seed))
 
 
 def quasi_bipartite_splitting_set(X):
@@ -227,11 +233,11 @@ def binarize(X):
         for src in copy.edge_ids:
             e = X.edges[src]
             edges[eid] = BlowupEdge(eid, port[(e.u, src)], port[(e.v, src)],
-                                    e.cost, cid, orig=("bin", src))
+                                    e.cost, orig=("bin", src))
             e_ids.append(eid)
             eid += 1
         for (a, b) in aux:
-            edges[eid] = BlowupEdge(eid, a, b, R0, cid)
+            edges[eid] = BlowupEdge(eid, a, b, R0)
             e_ids.append(eid)
             eid += 1
         copies.append(BlowupCopy(cid, e_ids, vs, ("b", copy.shape)))
@@ -297,8 +303,9 @@ def _better(cur, cand):
 def optimal_splitting_set(X):
     """Minimum-potential splitting set by per-copy dynamic programming.
 
-    Requires every non-terminal to have degree <= 3 in its copy (run
-    binarize first).  The DP processes rooted partial trees with two
+    Runs on the copies as they are, of any degree; every terminal must
+    be a leaf of its copy (true of full components and of their
+    binarizations).  The DP processes rooted partial trees with two
     table families: type A (the root's cleanup piece already holds its
     terminal) indexed by the number of core edges that will end up
     incident to that piece from outside the partial tree, and type B (no
@@ -324,38 +331,37 @@ def _dp_copy(X, copy):
     """Core positions of a minimum-potential splitting set of one copy,
     rooted at its smallest terminal."""
     adj = X.adjacency(copy.vertices, copy.edge_ids)
-    for v in copy.vertices:
-        if v not in X.R and len(adj[v]) > 3:
-            raise SplittingError("copy %d has a non-terminal of degree %d; "
-                                 "binarize first" % (copy.id, len(adj[v])))
     terms = sorted(X.copy_terminals(copy))
     if not terms:
         raise SplittingError("copy %d has no terminals" % copy.id)
-    root = terms[0]
-    children = _children(adj, [root])
+    for t in terms:
+        if len(adj[t]) != 1:
+            raise SplittingError("terminal %d of copy %d is not a leaf"
+                                 % (t, copy.id))
+    children = _children(adj, terms[:1])
     M = len(copy.edge_ids)
     pos = {eid: i for i, eid in enumerate(copy.edge_ids)}
 
     def tables(v):
         """(A, B) tables for the partial tree = v plus everything below."""
-        # base at v
         if v in X.R:
             base_e = _Entry(R0, ("base",))
-            A = {a: base_e for a in range(M + 1)}
-            B = {}
-        else:
-            A = {}
-            B = {0: _Entry(R0, ("base",))}
+            return {a: base_e for a in range(M + 1)}, {}
+        A, B = {}, {0: _Entry(R0, ("base",))}
         for (u, eid) in children[v]:
-            Au, Bu = tables(u)
-            A2, B2 = _extend(X, v, eid, Au, Bu, M)
-            A, B = _merge(v in X.R, A, B, A2, B2, M)
+            A2, B2 = _extend(X, eid, *tables(u), M)
+            A, B = _merge(A, B, A2, B2, M)
         return A, B
 
-    A, B = tables(root)
-    best = A.get(0)
-    if best is None:
+    # the root terminal closes the piece of its one edge: every type-B
+    # extension over that edge (core over a child side that sees it as
+    # its one outside core edge, or cleanup over a terminal-less child
+    # piece) is complete; ties go to the smaller index
+    [(u, eid)] = children[terms[0]]
+    _, B = _extend(X, eid, *tables(u), M)
+    if not B:
         raise SplittingError("copy %d admits no splitting set" % copy.id)
+    best = B[min(B, key=lambda b: (B[b].val, b))]
     cleanup = set()
 
     def collect(entry):
@@ -375,69 +381,32 @@ def _dp_copy(X, copy):
     return {pos[eid] for eid in copy.edge_ids if eid not in cleanup}
 
 
-def _extend(X, v, eid, Au, Bu, M):
-    """Tables for the tree consisting of v, the edge eid = (v, u), and u's
-    partial tree."""
+def _extend(X, eid, Au, Bu, M):
+    """Tables for the tree consisting of a non-terminal v, the edge
+    eid = (v, u), and u's partial tree."""
     c = X.edges[eid].cost
     A2, B2 = {}, {}
-    if v not in X.R:
-        # core edge: the child side must already own a terminal and sees
-        # exactly this one outside core edge
-        ch = Au.get(1)
+    # core edge: the child side must already own a terminal and sees
+    # exactly this one outside core edge
+    ch = Au.get(1)
+    if ch is not None:
+        B2[1] = _Entry(ch.val + c, ("ext", eid, "core", ch))
+    # cleanup edge continuing the child's terminal piece up to v
+    for a in range(1, M + 1):
+        ch = Au.get(a)
         if ch is not None:
-            cand = _Entry(ch.val + c, ("ext", eid, "core", ch))
-            if _better(B2.get(1), cand):
-                B2[1] = cand
-        # cleanup edge continuing the child's terminal piece up to v
-        for a in range(1, M + 1):
-            ch = Au.get(a)
-            if ch is not None:
-                cand = _Entry(ch.val + c * harmonic(a), ("ext", eid, "clean", ch))
-                if _better(A2.get(a), cand):
-                    A2[a] = cand
-        # cleanup edge over a terminal-less child piece
-        for b, ch in sorted(Bu.items()):
-            if b >= 1:
-                cand = _Entry(ch.val + c * harmonic(b), ("ext", eid, "clean", ch))
-                if _better(B2.get(b), cand):
-                    B2[b] = cand
-    else:
-        # v is a terminal (only the overall root): its piece closes here
-        best = None
-        ch = Au.get(1)
-        if ch is not None:
-            cand = _Entry(ch.val + c, ("ext", eid, "core", ch))
-            if _better(best, cand):
-                best = cand
-        for b, ch in sorted(Bu.items()):
-            if b >= 1:
-                cand = _Entry(ch.val + c * harmonic(b), ("ext", eid, "clean", ch))
-                if _better(best, cand):
-                    best = cand
-        if best is not None:
-            A2 = {a: best for a in range(M + 1)}
+            A2[a] = _Entry(ch.val + c * harmonic(a), ("ext", eid, "clean", ch))
+    # cleanup edge over a terminal-less child piece
+    for b, ch in sorted(Bu.items()):
+        if b >= 1:
+            cand = _Entry(ch.val + c * harmonic(b), ("ext", eid, "clean", ch))
+            if _better(B2.get(b), cand):
+                B2[b] = cand
     return A2, B2
 
 
-def _merge(root_is_terminal, A1, B1, A2, B2, M):
-    """Combine two partial trees sharing only their root."""
-    if root_is_terminal:
-        # terminals are leaves; a merge at a terminal only happens when one
-        # side is the empty base table
-        if not B1 and not B2:
-            A = {}
-            for a in range(M + 1):
-                e1, e2 = A1.get(a), A2.get(a)
-                if e1 is not None and e2 is not None:
-                    if e1.info == ("base",):
-                        A[a] = e2
-                    elif e2.info == ("base",):
-                        A[a] = e1
-                    else:
-                        raise SplittingError("terminal with two incident "
-                                             "cleanup/core structures")
-            return A, {}
-        raise SplittingError("unexpected merge at a terminal")
+def _merge(A1, B1, A2, B2, M):
+    """Combine two partial trees sharing only their non-terminal root."""
     A, B = {}, {}
     for a1, e1 in sorted(A1.items()):
         for b2, e2 in sorted(B2.items()):

@@ -37,6 +37,7 @@ def test_dp_matches_exhaustive(seed):
     best = min(splitting.compute_witnesses_and_weights(X, K).potential
                for K in oracles.enumerate_splitting_sets(X))
     assert state.potential == best
+    assert splitting.splitting_set(X, "dp").potential == best
 
 
 @settings(max_examples=15, deadline=None)
@@ -93,18 +94,36 @@ def test_binarize_degrees_and_cost():
     assert Xb.total_cost() == X.total_cost()
 
 
+def _one_copy_blowup(terminals, edges):
+    """Blowup graph with N = 1 and one copy, the edges (u, v, cost) with
+    ids in list order."""
+    E = {i: hyperlp.BlowupEdge(i, u, v, Rat(c)) for i, (u, v, c) in enumerate(edges)}
+    vs = {x for u, v, _ in edges for x in (u, v)}
+    copy = hyperlp.BlowupCopy(0, list(E), vs, ("one",))
+    return hyperlp.BlowupGraph(1, terminals, [copy], E, max(vs) + 1, len(E), 1)
+
+
 def test_map_back_potential_matches_direct_optimum():
-    # the binarize/DP/map-back pipeline must equal brute force on X itself
-    from hypersteiner.instance import SteinerInstance
-    costs = {(i, 9): Rat(i) for i in range(1, 7)}
-    inst = SteinerInstance([1, 2, 3, 4, 5, 6, 9], costs, [1, 2, 3, 4, 5, 6])
-    sol = hyperlp.solve_lp_exact(inst, enumerate_components(inst))
-    X = hyperlp.blowup_from_solution(inst, sol)
-    Xb = splitting.binarize(X)
-    state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
-    best = min(splitting.compute_witnesses_and_weights(X, K).potential
-               for K in oracles.enumerate_splitting_sets(X))
-    assert state.potential == best
+    # on copies with a non-terminal of degree >= 4 (stars with 4-7 leaves,
+    # a tree with a degree-4 hub), the DP on X itself and the
+    # binarize/DP/map-back pipeline must both equal brute force on X
+    stars = [_one_copy_blowup(range(1, k + 1), [(i, 9, i) for i in range(1, k + 1)])
+             for k in range(4, 8)]
+    for X in stars + [_pruning_tree_blowup()]:
+        best = min(splitting.compute_witnesses_and_weights(X, K).potential
+                   for K in oracles.enumerate_splitting_sets(X))
+        assert splitting.splitting_set(X, "dp").potential == best
+        Xb = splitting.binarize(X)
+        state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
+        assert state.potential == best
+
+
+def test_dp_rejects_inner_terminal():
+    # the DP needs every terminal of a copy to be a leaf: here terminal 2
+    # sits inside the path 1 - 4 - 2 - 3
+    X = _one_copy_blowup([1, 2, 3], [(1, 4, 1), (4, 2, 1), (2, 3, 1)])
+    with pytest.raises(splitting.SplittingError, match="terminal 2 of copy 0"):
+        splitting.splitting_set(X, "dp")
 
 
 def test_single_edge_component_all_core():
@@ -116,6 +135,7 @@ def test_single_edge_component_all_core():
     state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
     assert set(state.K) == set(X.edges)
     assert state.potential == 4  # H(0) shares: just the core cost
+    assert splitting.splitting_set(X, "dp").K == state.K
 
 
 def _pruning_tree_blowup():
