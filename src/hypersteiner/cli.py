@@ -25,8 +25,8 @@ from . import partition_decomp, removal_matroid, oracles
 def _load(path, strategy=None):
     with open(path) as fh:
         inst = inst_mod.parse_stp(fh.read())
-    # the cheapest-edge rule and its 73/60 bound hold on quasi-bipartite
-    # graphs only; elsewhere its splitting fails on a non-star component
+    # the quasi rule and its 73/60 bound hold on quasi-bipartite graphs
+    # only; elsewhere its splitting fails on a non-star component
     if strategy == "quasi" and not inst.is_quasi_bipartite():
         raise ValueError("--strategy quasi needs a quasi-bipartite instance "
                          "(an edge joins two Steiner vertices)")
@@ -62,16 +62,6 @@ def _emit(args, payload):
             print("%s: %s" % (k, json.dumps(payload[k], sort_keys=True)))
 
 
-def _log_json(entry):
-    out = {}
-    for k, v in entry.items():
-        if isinstance(v, Rat) or (not isinstance(v, (int, str, list))):
-            out[k] = rat_to_json(v)
-        else:
-            out[k] = v
-    return out
-
-
 def _solve(inst, k):
     comps = comp_mod.enumerate_components(inst, max_size=k)
     return hyperlp.solve_lp_exact(inst, comps)
@@ -98,7 +88,7 @@ def cmd_run(args):
         "ratio": rat_to_json(ratio),
         "bound": rat_to_json(bound),
         "phi_over_n": rat_to_json(cert["phi_over_N"]),
-        "iterations": [_log_json(it) for it in cert["iterations"]],
+        "iterations": _details_json(cert["iterations"]),
         "tree_edges": [_edge_json(e) for e in sorted(tree.edges)],
     }
     _emit(args, payload)
@@ -432,8 +422,8 @@ def build_parser():
 
 
 def _details_json(v):
-    """Exception details as JSON values: rationals through rat_to_json,
-    tuples as lists, dict keys as strings."""
+    """Iteration logs and exception details as JSON values: rationals
+    through rat_to_json, tuples as lists, dict keys as strings."""
     if isinstance(v, dict):
         return {str(k): _details_json(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

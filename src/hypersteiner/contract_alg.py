@@ -7,17 +7,17 @@ iteration:
   1. picks the piece Q maximizing w(B^Q)/N - cost(Q), where B^Q is a
      greedy max-weight basis of the removable-set matroid of Q's
      terminals restricted to K (a nonnegative maximum always exists);
-  2. removes B^Q together with F = {cleanup e | W(e) subset of B^Q},
-     contracts Q's terminals to a fresh terminal, and carries the
-     splitting state over: K - B^Q and witnesses W(e) - B^Q
-     (SplittingState.contracted);
+  2. removes B^Q together with F = {cleanup e | W(e) subset of B^Q} and
+     contracts Q's terminals to a fresh terminal, in one graph operation
+     (BlowupGraph.contract), and carries the splitting state over:
+     K - B^Q and witnesses W(e) - B^Q (SplittingState.contracted);
   3. adds the source-graph edges of Q to the output tree.
 
 The potential Phi = sum c(e) H(|W(e)|) drops by at least w(B^Q) per
 iteration, which telescopes to: output cost <= Phi_initial / N.
 """
 
-from .ratio import R0
+from .ratio import R0, harmonic
 from .instance import SteinerTree, UnionFind
 from .components import enumerate_components
 from .hyperlp import solve_lp_exact, blowup_from_solution
@@ -97,7 +97,7 @@ def contract_step(state, Q, B):
         if orig is not None:
             state.tree_edges.add(orig)
     TQ = X.copy_terminals(Q)
-    X2, z = X.remove_edges(B | F).contract_terminals(TQ)
+    X2, z = X.contract(B | F, TQ)
     try:
         state.split = split.contracted(X2, B)
     except _split.SplittingError as exc:
@@ -127,14 +127,21 @@ def _full_check(split):
                 raise InvariantViolation("pendant non-terminal %d survived "
                                          "cleanup in copy %d" % (v, copy.id))
     if len(X.R) > 1:
-        # K still splits X, and the carried witnesses, weights and
-        # potential match a recomputation
-        fresh = _split.compute_witnesses_and_weights(X, split.K)
-        if fresh.witness != split.witness:
+        # K still splits X, and the carried state matches fresh witnesses
+        # and weights and Phi recomputed here, not through SplittingState
+        fresh = _split.compute_witnesses_and_weights(X, split.K).witness
+        if fresh != split.witness:
             raise InvariantViolation("incremental witness update diverged")
-        if fresh.weights != split.weights:
+        weights = {e: X.edges[e].cost for e in split.K}
+        phi = sum(weights.values(), R0)
+        for f, W in fresh.items():
+            c = X.edges[f].cost
+            phi += c * harmonic(len(W))
+            for e in W:
+                weights[e] += c / len(W)
+        if weights != split.weights:
             raise InvariantViolation("incremental weight update diverged")
-        if fresh.potential != split.potential:
+        if phi != split.potential:
             raise InvariantViolation("carried potential diverged")
 
 
@@ -142,7 +149,8 @@ def run(instance, k=None, strategy="dp", seed=0, check=False):
     """Full pipeline: LP -> blowup -> splitting set -> contraction loop.
 
     strategy: "dp" (minimum-potential splitting set), "random", or
-    "quasi" (cheapest-edge rule; requires a quasi-bipartite instance).
+    "quasi" (the DP on star copies, with its 73/60 bound asserted;
+    requires a quasi-bipartite instance).
     Returns (SteinerTree, certificate dict)."""
     comps = enumerate_components(instance, k)
     sol = solve_lp_exact(instance, comps)

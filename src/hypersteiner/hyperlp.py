@@ -63,10 +63,11 @@ class BlowupCopy:
 
 
 class BlowupGraph:
-    """Immutable-by-convention: mutating operations return new graphs.
+    """Immutable by convention: `contract`, the one operation of a
+    contraction step, returns a new graph.
 
-    Edge ids are stable across remove/contract operations so external
-    bookkeeping (splitting sets, witness sets) survives them.
+    Edge ids are stable across it, so external bookkeeping (splitting
+    sets, witness sets) survives.
     """
 
     def __init__(self, N, terminals, copies, edges, next_vid, next_eid, next_cid):
@@ -210,63 +211,46 @@ class BlowupGraph:
         h = self.slack_table()
         return bool(h.min() >= 0 and h[-1] == 0)
 
-    # ---- mutating operations (return new graphs) -------------------------
+    # ---- contraction (returns a new graph) -------------------------------
 
-    def remove_edges(self, F):
-        """X - F: drop the edges, split copies into their pieces (pieces with
-        no edges vanish)."""
-        F = set(F)
-        copies = []
-        cid = self._next_cid
-        new_edges = {}
-        for copy in self.copies:
-            pieces = self.copy_pieces(copy, F)
-            if len(pieces) == 1 and not (F & set(copy.edge_ids)):
-                copies.append(copy)
-                for eid in copy.edge_ids:
-                    new_edges[eid] = self.edges[eid]
-                continue
-            for vs, eids in pieces:
-                if not eids:
-                    continue
-                for eid in eids:
-                    new_edges[eid] = self.edges[eid]
-                copies.append(BlowupCopy(cid, eids, vs, ("p", cid)))
-                cid += 1
-        return BlowupGraph(self.N, self.R, copies, new_edges,
-                           self._next_vid, self._next_eid, cid)
-
-    def contract_terminals(self, TQ):
-        """(X)/Q: identify the terminal class TQ to one fresh terminal z in
-        every copy.  Requires that no copy holds two or more terminals of
-        TQ (true after a basis removal).  Returns (new graph, z)."""
-        TQ = frozenset(TQ)
+    def contract(self, F, TQ):
+        """(X - F)/Q: drop the edges F, split the copies they touch into
+        their pieces (pieces with no edges vanish) and identify the
+        terminal class TQ to one fresh terminal z.  Copies F leaves alone
+        keep their id and shape; pieces take fresh ids; a copy or piece
+        holding a terminal of TQ gets the shape ("z", shape, z) and may
+        not hold two (true after a basis removal).  Returns (graph, z)."""
+        F, TQ = frozenset(F), frozenset(TQ)
         if len(TQ) < 2 or not TQ <= self.R:
             raise ValueError("need >= 2 existing terminals to contract")
-        z = self._next_vid
-        sub = {t: z for t in TQ}
-        copies = []
-        new_edges = {}
+        z, cid = self._next_vid, self._next_cid
+        copies, edges = [], {}
         for copy in self.copies:
-            hits = sum(1 for v in copy.vertices if v in TQ)
-            if hits > 1:
-                raise ValueError("copy %d spans several terminals of the "
-                                 "contracted component" % copy.id)
-            if hits == 0:
-                copies.append(copy)
-                for eid in copy.edge_ids:
-                    new_edges[eid] = self.edges[eid]
-                continue
-            vs = tuple(sub.get(v, v) for v in copy.vertices)
-            for eid in copy.edge_ids:
-                old = self.edges[eid]
-                new_edges[eid] = BlowupEdge(eid, sub.get(old.u, old.u),
-                                            sub.get(old.v, old.v),
-                                            old.cost, old.orig)
-            copies.append(BlowupCopy(copy.id, copy.edge_ids, vs, ("z", copy.shape, z)))
-        R = (self.R - TQ) | {z}
-        return BlowupGraph(self.N, R, copies, new_edges,
-                           self._next_vid + 1, self._next_eid, self._next_cid), z
+            pieces = [copy]
+            if not F.isdisjoint(copy.edge_ids):
+                pieces = []
+                for vs, eids in self.copy_pieces(copy, F):
+                    if eids:
+                        pieces.append(BlowupCopy(cid, eids, vs, ("p", cid)))
+                        cid += 1
+            for p in pieces:
+                hits = TQ.intersection(p.vertices)
+                if len(hits) > 1:
+                    raise ValueError("copy %d spans several terminals of the "
+                                     "contracted component" % p.id)
+                for eid in p.edge_ids:
+                    e = self.edges[eid]
+                    if e.u in TQ or e.v in TQ:
+                        e = BlowupEdge(eid, z if e.u in TQ else e.u,
+                                       z if e.v in TQ else e.v, e.cost, e.orig)
+                    edges[eid] = e
+                if hits:
+                    p = BlowupCopy(p.id, p.edge_ids,
+                                   [z if v in TQ else v for v in p.vertices],
+                                   ("z", p.shape, z))
+                copies.append(p)
+        return BlowupGraph(self.N, (self.R - TQ) | {z}, copies, edges,
+                           z + 1, self._next_eid, cid), z
 
 
 class FractionalSolution:

@@ -9,7 +9,6 @@ reads off slack tables instead.  Only tests and the `verify` suites of
 the CLI call into this module; the production pipeline does not.
 """
 
-import heapq
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -101,80 +100,6 @@ def exhaustive_steiner_cost(inst, max_edges=18):
             if best is None or t.cost < best:
                 best = t.cost
     return best
-
-
-def mst_two_approx(inst):
-    """Classic 2-approximation: MST of the terminal shortest-path metric,
-    expanded back to graph edges, pruned to a tree.  Heap keys are the
-    exact distances: float keys misorder costs above 2^53."""
-    R = sorted(inst.terminals)
-
-    def dijkstra(src):
-        dist = {src: R0}
-        prev = {}
-        heap = [(R0, src)]
-        done = set()
-        while heap:
-            _, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for w, c in inst.neighbors(u):
-                nd = dist[u] + c
-                if w not in dist or nd < dist[w]:
-                    dist[w] = nd
-                    prev[w] = u
-                    heapq.heappush(heap, (nd, w))
-        return dist, prev
-
-    sp = {t: dijkstra(t) for t in R}
-    # Prim over terminals
-    intree = {R[0]}
-    meta = []
-    while len(intree) < len(R):
-        cand = min(((sp[a][0][b], a, b) for a in intree for b in R if b not in intree),
-                   key=lambda x: (x[0], x[1], x[2]))
-        meta.append((cand[1], cand[2]))
-        intree.add(cand[2])
-    edges = set()
-    for a, b in meta:
-        prev = sp[a][1]
-        v = b
-        while v != a:
-            u = prev[v]
-            edges.add(edge_key(u, v))
-            v = u
-    # prune to a tree: MST of the union subgraph, then drop non-terminal leaves
-    touched = sorted({v for e in edges for v in e})
-    parent = {v: v for v in touched}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    for e in sorted(edges, key=lambda e: (inst.costs[e], e)):
-        ra, rb = find(e[0]), find(e[1])
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(e)
-    tree = set(tree)
-    changed = True
-    while changed:
-        changed = False
-        deg = {}
-        for (u, v) in tree:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        for e in list(tree):
-            for v in e:
-                if deg.get(v, 0) == 1 and v not in inst.terminals:
-                    tree.discard(e)
-                    changed = True
-                    break
-    return SteinerTree(inst, tree)
 
 
 def spanning_tree_count(vertices, edges):

@@ -17,11 +17,11 @@ vertex.  Weights on core edges:
 which conserves total cost.  The potential is
 Phi = sum over all edges of c(e) * H(|W(e)|) with H the harmonic numbers.
 
-Splitting strategies: an exact dynamic program minimizing Phi (per copy,
-over rooted partial trees, on the copies as they are), a quasi-bipartite
-cheapest-edge rule, and uniformly random per-node choices.  Only the
-random rule, whose expectation bound holds on degree-3 trees, runs on
-binarize(X) and is carried back to X by map_back.
+Splitting strategies: the one exact dynamic program minimizing Phi (per
+copy, over rooted partial trees, on the copies as they are), also behind
+the quasi-bipartite 73/60 rule on star copies, and uniformly random
+per-node choices.  Only the random rule, whose expectation bound holds
+on degree-3 trees, runs on binarize(X) and is carried back by map_back.
 
 A SplittingState holds K, its witnesses, weights and potential; the
 contraction loop carries one, shrinking it after each step
@@ -38,7 +38,7 @@ not depend on the search order, and children keep edge-id order.
 import random as _random
 
 from .ratio import R0, harmonic
-from .instance import UnionFind, orient
+from .instance import orient
 from .hyperlp import BlowupGraph, BlowupEdge, BlowupCopy
 
 
@@ -103,25 +103,17 @@ def core_weights(X, K, witness):
 
 
 def _copy_witnesses(X, copy, K, witness):
+    # the copy is a tree, so its cleanup edges form a forest; it has one
+    # terminal per tree iff the walk from the terminals reaches every
+    # vertex and there are |V| - |terminals| cleanup edges
     cleanup = [e for e in copy.edge_ids if e not in K]
-    # cleanup forest: acyclic, every tree exactly one terminal, every
-    # non-terminal covered
-    uf = UnionFind(copy.vertices)
-    for eid in cleanup:
-        e = X.edges[eid]
-        if not uf.union(e.u, e.v):
-            raise SplittingError("cleanup edges contain a cycle in copy %d" % copy.id)
-    groups = {}
-    for v in copy.vertices:
-        groups.setdefault(uf.find(v), []).append(v)
-    for g in groups.values():
-        ts = [v for v in g if v in X.R]
-        if len(ts) > 1:
-            raise SplittingError("cleanup piece with %d terminals in copy %d"
-                                 % (len(ts), copy.id))
-        if not ts:
-            raise SplittingError("cleanup piece without terminal in copy %d"
-                                 % copy.id)
+    terms = sorted(X.copy_terminals(copy))
+    order, parent = orient(X.adjacency(copy.vertices, cleanup), terms)
+    if len(order) < len(copy.vertices):
+        raise SplittingError("cleanup piece without terminal in copy %d" % copy.id)
+    if len(cleanup) != len(copy.vertices) - len(terms):
+        raise SplittingError("cleanup piece with several terminals in copy %d"
+                             % copy.id)
     # core edges at each vertex, merged bottom-up along the cleanup trees
     # oriented away from their terminals: the far side of a cleanup edge
     # is the subtree below its lower endpoint
@@ -131,8 +123,6 @@ def _copy_witnesses(X, copy, K, witness):
             e = X.edges[eid]
             sub[e.u].add(eid)
             sub[e.v].add(eid)
-    order, parent = orient(X.adjacency(copy.vertices, cleanup),
-                           sorted(X.copy_terminals(copy)))
     for v in reversed(order):
         if parent[v] is None:
             continue
@@ -148,8 +138,8 @@ def _copy_witnesses(X, copy, K, witness):
 
 def splitting_set(X, strategy, seed=0):
     """SplittingState of X by strategy: "dp" (minimum potential, on X
-    itself), "quasi" (cheapest-edge rule on star copies), or "random"
-    (chosen on binarize(X) and carried back to X with map_back)."""
+    itself), "quasi" (the same on star copies, 73/60 bound asserted), or
+    "random" (chosen on binarize(X) and carried back with map_back)."""
     if strategy == "dp":
         return optimal_splitting_set(X)
     if strategy == "quasi":
@@ -161,20 +151,21 @@ def splitting_set(X, strategy, seed=0):
 
 
 def quasi_bipartite_splitting_set(X):
-    """Cheapest-edge rule for star copies: per copy, every edge is core
-    except one cheapest edge (tie: smallest edge id).  Gives
-    Phi <= (73/60) * cost(X)."""
-    K = set()
+    """Minimum-potential splitting set of star copies, with
+    Phi <= (73/60) * cost(X).
+
+    A single edge is core.  On a star with k >= 2 terminal leaves, a
+    splitting set leaves one edge f cleanup, joining the centre to f's
+    terminal, and W(f) is the other k - 1 edges, so
+    Phi = cost - c(f) + c(f) H(k-1).  The minimum takes the cheapest f
+    (every f when k = 2, where H(1) = 1), so it is what the DP returns,
+    and c(f) <= cost/k bounds Phi/cost by 1 + (H(k-1) - 1)/k, largest at
+    k = 5: 73/60."""
     for copy in X.copies:
         _require_star(X, copy)
-        if len(copy.edge_ids) == 1:
-            K.update(copy.edge_ids)
-            continue
-        emin = min(copy.edge_ids, key=lambda eid: (X.edges[eid].cost, eid))
-        K.update(e for e in copy.edge_ids if e != emin)
-    state = compute_witnesses_and_weights(X, K)
-    cost = X.total_cost()
-    assert 60 * state.potential <= 73 * cost, "quasi-bipartite bound violated"
+    state = optimal_splitting_set(X)
+    assert 60 * state.potential <= 73 * X.total_cost(), \
+        "quasi-bipartite bound violated"
     return state
 
 
@@ -439,50 +430,21 @@ def map_back(X, Xb, state_b):
 
     Auxiliary edges are dropped; every real edge keeps its status.  A
     non-terminal of X whose expansion chain mixed statuses can end up
-    with several cleanup paths to terminals; following the pruning rule,
-    only the cheapest such path survives (ties: smaller first-edge id)
-    and the first edge of every other path turns core.  Iterates until K
-    is valid, then recomputes witnesses on X."""
-    src = {}
-    for eid, e in Xb.edges.items():
-        if e.orig is not None:
-            src[eid] = e.orig[1]
-    K = {src[eid] for eid in state_b.K if eid in src}
-    cleanup = set(X.edges) - K
-    for _ in range(len(X.edges) + 1):
-        moved = _prune_multi_paths(X, cleanup)
-        if not moved:
-            break
-        cleanup -= moved
-    else:
-        raise SplittingError("back-mapping did not stabilize")
-    return compute_witnesses_and_weights(X, set(X.edges) - cleanup)
-
-
-def _prune_multi_paths(X, cleanup):
-    """One pruning round: in every cleanup piece holding several terminals,
-    pick the smallest non-terminal whose incident cleanup edges lead to
-    terminals in at least two directions, keep the direction offering the
-    cheapest terminal path (tie: smaller first-edge id) and cut the first
-    edge of every other direction.  Returns the cut edges, empty when K
-    is already valid."""
-    moved = set()
+    with cleanup paths to terminals in several directions; following the
+    pruning rule, only the direction of the cheapest such path survives
+    (ties: smaller first-edge id) and the first edge of every other
+    direction turns core.  One pass visits each copy's non-terminals in
+    ascending order: a cut at u splits only u's piece, and a vertex's
+    terminal directions only shrink, so no vertex needs a second visit.
+    Witnesses are then computed on X."""
+    K = {e.orig[1] for eid, e in Xb.edges.items()
+         if eid in state_b.K and e.orig is not None}
     for copy in X.copies:
-        adj = X.adjacency(copy.vertices, [e for e in copy.edge_ids if e in cleanup])
-        seen = set()
-        for v0 in copy.vertices:
-            if v0 in seen:
-                continue
-            piece, _ = orient(adj, [v0])
-            seen.update(piece)
-            if sum(1 for t in piece if t in X.R) <= 1:
-                continue
-            for u in sorted(p for p in piece if p not in X.R):
-                dirs = _terminal_directions(X, adj, u)
-                if len(dirs) >= 2:
-                    moved.update(eid for _, eid in dirs[1:])
-                    break
-    return moved
+        for u in copy.vertices:
+            if u not in X.R:
+                adj = X.adjacency(copy.vertices, [e for e in copy.edge_ids if e not in K])
+                K.update(eid for _, eid in _terminal_directions(X, adj, u)[1:])
+    return compute_witnesses_and_weights(X, K)
 
 
 def _terminal_directions(X, adj, u):

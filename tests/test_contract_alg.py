@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat, LN4_UPPER
 from hypersteiner.instance import generate_random
-from hypersteiner import contract_alg, hyperlp, oracles
+from hypersteiner import contract_alg, hyperlp, oracles, splitting
 from hypersteiner.components import enumerate_components
 
 from conftest import (fractional_solution_n2, mixed_hypertree_point,
@@ -70,15 +70,6 @@ def test_random_strategy_seed_determinism():
     assert a[0].edges == b[0].edges and a[1]["tree_cost"] == b[1]["tree_cost"]
 
 
-def test_mst_comparison_reported_not_asserted():
-    inst = generate_random(5, 3, 0.5, seed=33)
-    tree, cert = contract_alg.run(inst, strategy="dp")
-    mst = oracles.mst_two_approx(inst)
-    exact, _ = oracles.exact_steiner_tree(inst)
-    assert mst.cost <= 2 * exact
-    # no ordering between mst and the algorithm output is claimed
-
-
 def test_check_mode_rejects_dependent_basis(monkeypatch):
     """check=True re-ranks every greedy basis on a full slack table, so a
     basis that is not independent raises instead of being contracted."""
@@ -89,4 +80,27 @@ def test_check_mode_rejects_dependent_basis(monkeypatch):
 
     monkeypatch.setattr(contract_alg, "greedy_max_weight_basis", first_edges)
     with pytest.raises(contract_alg.InvariantViolation, match="greedy basis"):
+        contract_alg.run_from_solution(inst, sol, check=True)
+
+
+def test_check_mode_recomputes_weights(monkeypatch):
+    """check=True recomputes the weights from fresh witness sets, so
+    weights that conserve the total cost but are wrong raise.  The shift
+    moves 1/1000 from the second-largest core id to the largest; on this
+    point the first step's potential-drop check stays quiet, so only the
+    recomputation catches it."""
+    inst, sol = mixed_hypertree_point(1, 3)
+    core_weights = splitting.core_weights
+
+    def shifted(X, K, witness):
+        weights = core_weights(X, K, witness)
+        if len(weights) >= 2:
+            b, a = sorted(weights)[-2:]
+            weights[a] += Rat(1, 1000)
+            weights[b] -= Rat(1, 1000)
+        return weights
+
+    monkeypatch.setattr(splitting, "core_weights", shifted)
+    with pytest.raises(contract_alg.InvariantViolation,
+                       match="incremental weight update diverged"):
         contract_alg.run_from_solution(inst, sol, check=True)

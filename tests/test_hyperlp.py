@@ -77,24 +77,52 @@ def test_slack_table_matches_definition(frac_n2):
         table[0] = 1
 
 
-def test_remove_edges_and_feasibility(frac_n2):
-    inst, sol = frac_n2
-    X = hyperlp.blowup_from_solution(inst, sol)
-    # removing everything disconnects the terminals
-    allF = frozenset(X.edges)
-    assert not X.remove_edges(allF).is_feasible()
-    # removing nothing is a no-op
-    X2 = X.remove_edges(frozenset())
-    assert X2.is_feasible() and len(X2.edges) == len(X.edges)
+def _paths_blowup():
+    """N = 1, terminals 1-4, four two-edge copies: 0 is 1-5-2, 1 is 3-6-4,
+    2 is 2-7-4 and 3 is 1-8-3; edge ids 0-7 in that order."""
+    E, copies = {}, []
+    for cid, (a, m, b) in enumerate([(1, 5, 2), (3, 6, 4), (2, 7, 4), (1, 8, 3)]):
+        E[2 * cid] = hyperlp.BlowupEdge(2 * cid, a, m, Rat(1))
+        E[2 * cid + 1] = hyperlp.BlowupEdge(2 * cid + 1, m, b, Rat(1))
+        copies.append(hyperlp.BlowupCopy(cid, [2 * cid, 2 * cid + 1], {a, m, b},
+                                         ("path", cid)))
+    return hyperlp.BlowupGraph(1, [1, 2, 3, 4], copies, E, 9, 8, 4)
 
 
-def test_contract_terminals(frac_n2):
+def test_contract_keeps_ids_and_shapes():
+    X = _paths_blowup()
+    # drop 1-5 (copy 0) and 8-3 (copy 3), then contract terminals 1 and 3
+    X2, z = X.contract({0, 7}, {1, 3})
+    assert z == 9 and X2.R == {2, 4, 9}
+    # copy 0 splits into {1} and 2-5, which takes id 4; copy 1 keeps its
+    # id and holds 3; copy 2 is untouched; copy 3 splits into 1-8, which
+    # takes id 5 and holds 1, and {3}; the one-vertex pieces vanish
+    got = [(c.id, c.vertices, c.edge_ids, c.shape) for c in X2.copies]
+    assert got == [(4, (2, 5), (1,), ("p", 4)),
+                   (1, (4, 6, 9), (2, 3), ("z", ("path", 1), 9)),
+                   (2, (2, 4, 7), (4, 5), ("path", 2)),
+                   (5, (8, 9), (6,), ("z", ("p", 5), 9))]
+    assert X2.copies[2] is X.copies[2]
+    assert sorted(X2.edges) == [1, 2, 3, 4, 5, 6]
+    assert (X2.edges[2].u, X2.edges[2].v) == (9, 6)
+    assert (X2.edges[6].u, X2.edges[6].v) == (9, 8)
+    assert X2.edges[4] is X.edges[4]
+    # removing every edge leaves no copy and an infeasible graph
+    X3, _ = X.contract(X.edges, {1, 2})
+    assert X3.copies == [] and not X3.is_feasible()
+
+
+def test_contract_refuses_two_tq_terminals(frac_n2):
     inst, sol = frac_n2
     X = hyperlp.blowup_from_solution(inst, sol)
     # contracting two terminals that share a copy must be refused until
     # the copy is split
-    with pytest.raises(ValueError):
-        X.contract_terminals(frozenset([1, 2]))
+    with pytest.raises(ValueError, match="spans several terminals"):
+        X.contract(frozenset(), {1, 2})
+    with pytest.raises(ValueError, match="spans several terminals"):
+        _paths_blowup().contract({1}, {1, 3})
+    with pytest.raises(ValueError, match="need >= 2"):
+        X.contract(frozenset(), {1})
 
 
 def test_invalid_fractional_solution_rejected():

@@ -59,6 +59,15 @@ def test_quasi_bipartite_rule_and_bound():
         X = hyperlp.blowup_from_solution(inst, sol)
         state = splitting.quasi_bipartite_splitting_set(X)
         assert 60 * state.potential <= 73 * _cost_of(X)
+        # the DP's minimum is the cheapest-edge value: on a star with k
+        # leaves, cost - c(f) + c(f) H(k-1) with f a cheapest edge
+        phi = _cost_of(X)
+        for copy in X.copies:
+            k = len(copy.edge_ids)
+            if k > 1:
+                c = min(X.edges[e].cost for e in copy.edge_ids)
+                phi += c * (harmonic(k - 1) - 1)
+        assert state.potential == phi
 
 
 def test_quasi_rule_rejects_nonstars(frac_n2):
@@ -106,7 +115,8 @@ def _one_copy_blowup(terminals, edges):
 def test_map_back_potential_matches_direct_optimum():
     # on copies with a non-terminal of degree >= 4 (stars with 4-7 leaves,
     # a tree with a degree-4 hub), the DP on X itself and the
-    # binarize/DP/map-back pipeline must both equal brute force on X
+    # binarize/DP/map-back pipeline must both equal brute force on X, and
+    # so must the quasi rule on the stars
     stars = [_one_copy_blowup(range(1, k + 1), [(i, 9, i) for i in range(1, k + 1)])
              for k in range(4, 8)]
     for X in stars + [_pruning_tree_blowup()]:
@@ -116,6 +126,19 @@ def test_map_back_potential_matches_direct_optimum():
         Xb = splitting.binarize(X)
         state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
         assert state.potential == best
+        if X in stars:
+            assert splitting.splitting_set(X, "quasi").potential == best
+
+
+def test_witnesses_reject_invalid_k():
+    # path 1 - 4 - 2 with terminals 1 and 2: edge 0 is 1-4, edge 1 is 4-2
+    X = _one_copy_blowup([1, 2], [(1, 4, 1), (4, 2, 1)])
+    for K, msg in [((), "piece with several terminals in copy 0"),
+                   ((0, 1), "piece without terminal in copy 0"),
+                   ((0, 7), "unknown edges")]:
+        with pytest.raises(splitting.SplittingError, match=msg):
+            splitting.compute_witnesses_and_weights(X, K)
+    assert splitting.compute_witnesses_and_weights(X, [1]).witness == {0: {1}}
 
 
 def test_dp_rejects_inner_terminal():
@@ -162,23 +185,18 @@ _PRUNED = {
 
 
 @pytest.mark.parametrize("seed", sorted(_PRUNED))
-def test_map_back_prunes_random_splitting(seed, monkeypatch):
+def test_map_back_prunes_random_splitting(seed):
     # random choices on the binarized hub chain leave the hub with cleanup
     # paths to terminals in several directions; map_back keeps the
     # cheapest (paths of one and two edges) and turns the others core
-    moved = []
-    prune = splitting._prune_multi_paths
-
-    def recording(X, cleanup):
-        out = prune(X, cleanup)
-        moved.extend(out)
-        return out
-    monkeypatch.setattr(splitting, "_prune_multi_paths", recording)
     X = _pruning_tree_blowup()
     Xb = splitting.binarize(X)
-    state = splitting.map_back(X, Xb, splitting.random_splitting_set(Xb, seed))
+    state_b = splitting.random_splitting_set(Xb, seed)
+    naive = {Xb.edges[e].orig[1] for e in state_b.K
+             if Xb.edges[e].orig is not None}
+    state = splitting.map_back(X, Xb, state_b)
     cut, K, witness, phi = _PRUNED[seed]
-    assert set(moved) == cut
+    assert state.K - naive == cut
     assert state.K == K
     assert state.witness == {e: frozenset(W) for e, W in witness.items()}
     assert state.potential == phi
