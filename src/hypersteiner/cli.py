@@ -238,7 +238,7 @@ def _verify_separation(seed):
 def _verify_uniform(seed):
     inst, X = _small_blowup(seed)
     state = splitting.splitting_set(X, "dp")
-    ok, _ = removal_matroid.verify_uniform_point(X, state.K)
+    ok, _ = oracles.verify_uniform_point(X, state.K)
     return ok
 
 

@@ -15,9 +15,23 @@ iteration:
 
 The potential Phi = sum c(e) H(|W(e)|) drops by at least w(B^Q) per
 iteration, which telescopes to: output cost <= Phi_initial / N.
+
+The loop runs on the splitting state's integers (costs, weights and Phi
+times its scale D).  A piece's score is the integer
+w(B^Q) - N cost(Q), N D times the rational score, and its bound is the
+sum of the N(|T|-1) largest weights of K minus N cost(Q): a basis of
+the matroid of a terminal set T has N(|T|-1) elements of K.  Pieces are
+visited by bound descending, then copy id ascending, and the visit stops
+at the first piece whose (bound, -id) is at most (best score, -best id),
+since no later piece can beat the best on (score, -id).  So the greedy
+runs only where it can win, and the winner is the one an ascending-id
+scan keeping the first maximum would pick.  The iteration log and the
+certificate carry exact Fractions, converted at that boundary.
 """
 
-from .ratio import R0, harmonic
+from itertools import accumulate
+
+from .ratio import Rat, R0, harmonic
 from .instance import SteinerTree, UnionFind
 from .components import enumerate_components
 from .hyperlp import solve_lp_exact, blowup_from_solution
@@ -45,43 +59,68 @@ class AlgorithmState:
         return len(self.split.X.R) <= 1
 
 
+def _score_bound(top, N, T, cost):
+    """Upper bound on the integer score of a piece with terminals T and
+    integer cost: top[k] is the sum of the k largest weights of K."""
+    return top[min(N * (len(T) - 1), len(top) - 1)] - N * cost
+
+
 def select_component(state):
-    """(Q copy, basis) maximizing w(B^Q)/N - cost(Q).
+    """(Q copy, basis) maximizing w(B^Q)/N - cost(Q), ties to the smaller
+    copy id.
 
     Pieces are grouped by terminal set (the matroid only depends on it);
     each group is represented by its cheapest copy, ties to the smaller
-    copy id.  The winning score is asserted nonnegative.  With check,
-    each group's basis is ranked again on a full slack table."""
+    copy id.  Groups are visited in bound order and the greedy stops
+    being run once no group left can win (module docstring).  The
+    winning score is asserted nonnegative.  With check, the greedy also
+    runs on the groups the bound skipped and each score is asserted at
+    most its bound, and each group's basis is ranked again on a full
+    slack table."""
     split = state.split
     X = split.X
+    N, w, cost = X.N, split.w, split.scale.cost
     groups = {}
     for copy in X.copies:
         T = X.copy_terminals(copy)
         if len(T) < 2:
             continue
-        cost = X.copy_cost(copy)
+        c = sum(cost[e] for e in copy.edge_ids)
         cur = groups.get(T)
-        if cur is None or (cost, copy.id) < (cur[0], cur[1].id):
-            groups[T] = (cost, copy)
+        if cur is None or (c, copy.id) < (cur[0], cur[1].id):
+            groups[T] = (c, copy)
     if not groups:
         raise InvariantViolation("no piece with two terminals but |R| > 1")
-    order = weight_order(split.K, split.weights)
-    best = None
-    for T in sorted(groups, key=lambda T: groups[T][1].id):
-        cost, copy = groups[T]
+    order = weight_order(split.K, w)
+    top = list(accumulate((w[e] for e in order), initial=0))
+    visits = sorted((-_score_bound(top, N, T, c), copy.id, T)
+                    for T, (c, copy) in groups.items())
+    best = None  # (score, -copy id, copy, basis)
+    for neg_bound, cid, T in visits:
+        bound = -neg_bound
+        beaten = best is not None and (bound, -cid) <= best[:2]
+        if beaten and not state.check:
+            break
+        c, copy = groups[T]
         M = RemovalMatroid(X, T, groundset=split.K)
-        B = greedy_max_weight_basis(M, split.weights, order)
+        try:
+            B = greedy_max_weight_basis(M, w, order)
+        except ValueError as exc:
+            raise InvariantViolation(str(exc)) from None
         if state.check and M.rank(B) != M.full_rank:
             raise InvariantViolation("greedy basis for terminals %s has rank "
                                      "%d < %d on a full slack table"
                                      % (sorted(T), M.rank(B), M.full_rank))
-        score = sum((split.weights[e] for e in B), R0) / X.N - cost
-        if best is None or score > best[0]:
-            best = (score, copy, B)
-    score, copy, B = best
+        score = sum(w[e] for e in B) - N * c
+        if state.check and score > bound:
+            raise InvariantViolation("score %s of terminals %s above its bound %s"
+                                     % (score, sorted(T), bound))
+        if not beaten and (best is None or (score, -cid) > best[:2]):
+            best = (score, -cid, copy, B)
+    score, _, copy, B = best
     if score < 0:
         raise InvariantViolation("no component with N*cost(Q) <= w(B): "
-                                 "best margin %s" % score)
+                                 "best margin %s" % Rat(score, N * split.scale.D))
     return copy, B
 
 
@@ -89,28 +128,29 @@ def contract_step(state, Q, B):
     """Apply one contraction with basis B at piece Q to state."""
     split = state.split
     X = split.X
+    D = split.scale.D
     B = frozenset(B)
     F = frozenset(e for e, W in split.witness.items() if W <= B)
-    wB = sum((split.weights[e] for e in B), R0)
+    wB = sum(split.w[e] for e in B)
     for e in Q.edge_ids:
         orig = X.edges[e].orig
         if orig is not None:
             state.tree_edges.add(orig)
     TQ = X.copy_terminals(Q)
-    X2, z = X.contract(B | F, TQ)
     try:
+        X2, z = X.contract(B | F, TQ)
         state.split = split.contracted(X2, B)
-    except _split.SplittingError as exc:
+    except ValueError as exc:  # SplittingError included
         raise InvariantViolation(str(exc)) from None
-    phi = state.split.potential
-    if split.potential - phi < wB:
+    phi = state.split.phi
+    if split.phi - phi < wB:
         raise InvariantViolation("potential dropped by %s < basis weight %s"
-                                 % (split.potential - phi, wB))
+                                 % (Rat(split.phi - phi, D), Rat(wB, D)))
     state.log.append({
         "terminals": sorted(TQ), "new_terminal": z,
-        "component_cost": X.copy_cost(Q),
-        "basis_size": len(B), "basis_weight": wB,
-        "cleaned": len(F), "phi": phi,
+        "component_cost": Rat(sum(split.scale.cost[e] for e in Q.edge_ids), D),
+        "basis_size": len(B), "basis_weight": Rat(wB, D),
+        "cleaned": len(F), "phi": Rat(phi, D),
     })
     if state.check:
         _full_check(state.split)

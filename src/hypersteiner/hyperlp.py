@@ -114,9 +114,6 @@ class BlowupGraph:
             adj[e.v].append((e.u, eid))
         return adj
 
-    def copy_cost(self, copy):
-        return sum((self.edges[e].cost for e in copy.edge_ids), R0)
-
     def total_cost(self):
         return sum((e.cost for e in self.edges.values()), R0)
 

@@ -17,7 +17,9 @@ import numpy as np
 
 from .ratio import Rat, R0
 from .instance import edge_key, orient, SteinerTree
+from .removal_matroid import RemovalMatroid
 from .sepflow import FlowNet, INF
+from .splitting import compute_witnesses_and_weights
 
 
 def exact_steiner_tree(inst, max_terminals=12):
@@ -232,6 +234,46 @@ def removal_bases(M):
     k = M.full_rank
     return [frozenset(B) for B in itertools.combinations(M.groundset, k)
             if M.rank(frozenset(B)) == k]
+
+
+def verify_uniform_point(X, K):
+    """Membership of the uniform vector (N/|pieces| on every edge of K) in
+    the removable-set polytope, checked through its rank characterization:
+    sum over pieces Q of r_Q(F) >= |F| * N for every F subset of K, all
+    2^|K| of them.
+
+    Returns (ok, details) where details carries the worst margin seen.
+    Also checks h_{X-F}(R) == |F| for every tested F (K splitting).
+    """
+    compute_witnesses_and_weights(X, K)  # raises if K is not a splitting set
+    K = sorted(K)
+    pieces_terms = []
+    for copy in X.copies:
+        T = X.copy_terminals(copy)
+        if len(T) >= 2:
+            pieces_terms.append(T)
+    npieces = len(X.copies)
+    matroids = [RemovalMatroid(X, T) for T in pieces_terms]
+
+    def check(F):
+        h = X.slack_table(F)
+        total = sum(m.table_rank(h) for m in matroids)
+        return total - len(F) * X.N, int(h[-1]) == len(F)
+
+    if len(K) > 16:
+        raise ValueError("|K| too large for exhaustive check")
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(K, r) for r in range(len(K) + 1))
+    worst = None
+    ok = True
+    for F in subsets:
+        margin, h_ok = check(F)
+        if worst is None or margin < worst:
+            worst = margin
+        if margin < 0 or not h_ok:
+            ok = False
+            break
+    return ok, {"worst_margin": worst, "pieces": npieces}
 
 
 # ---- max-flow oracles for the slack function -----------------------------

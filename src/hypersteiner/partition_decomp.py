@@ -11,8 +11,8 @@ h nonnegative (an exact minimum-ratio over unions of blocks), re-tighten,
 repeat; partitions strictly coarsen and at most |U|-1 rounds happen.
 
 Used to certify the lower-bound machinery for removable-set polytopes,
-whose per-piece slack inequality `removal_matroid.verify_uniform_point`
-checks off slack tables.
+whose per-piece slack inequality the exhaustive reference
+`oracles.verify_uniform_point` checks off slack tables.
 """
 
 from .ratio import Rat, R0

@@ -36,6 +36,20 @@ def lcm_denominators(values):
     return n
 
 
+def exact_div(n, d):
+    """n / d for integers where d divides n; raises on a nonzero remainder,
+    so an integer scale that is too coarse fails loudly."""
+    q, r = divmod(n, d)
+    if r:
+        raise AssertionError("%d / %d leaves remainder %d" % (n, d, r))
+    return q
+
+
+def scaled(q, scale):
+    """The rational q (an int or Rat) times `scale` as an exact integer."""
+    return exact_div(q.numerator * scale, q.denominator)
+
+
 def rat_to_json(q):
     q = Rat(q)
     return {

@@ -10,10 +10,15 @@ of total rank N(|Q|-1).  `RemovalMatroid.rank` reads it off the dense
 slack table of X - F as the minimum over the supersets of Q's bitmask;
 this is the only rank oracle of the pipeline.  The paper's max-flow
 evaluations of the same rank, the gammoid and the flow identity behind
-`min_slack_over_supersets`, and a brute-force basis scan live in
-`oracles` as references.  The greedy max-weight basis builds no table
-per query: it keeps the slack table of X - B and adds one copy delta per
-candidate edge (see `greedy_max_weight_basis`).
+`min_slack_over_supersets`, a brute-force basis scan and the exhaustive
+2^|K| membership check of the uniform point (`verify_uniform_point`)
+live in `oracles` as references.
+
+The greedy max-weight basis builds no table per query: it keeps the
+slack table of X - B and adds one copy delta per candidate edge (see
+`greedy_max_weight_basis`).  It only sorts by the weights, so any
+totally ordered numbers serve; the contraction loop passes the
+splitting state's integer weights.
 """
 
 from .ratio import R0
@@ -80,45 +85,3 @@ def greedy_max_weight_basis(M, w, order=None):
         raise ValueError("ground set is rank deficient: %d < %d"
                          % (len(B), M.full_rank))
     return frozenset(B)
-
-
-def verify_uniform_point(X, K):
-    """Membership of the uniform vector (N/|pieces| on every edge of K) in
-    the removable-set polytope, checked through its rank characterization:
-    sum over pieces Q of r_Q(F) >= |F| * N for every F subset of K, all
-    2^|K| of them.
-
-    Returns (ok, details) where details carries the worst margin seen.
-    Also checks h_{X-F}(R) == |F| for every tested F (K splitting).
-    """
-    from .splitting import compute_witnesses_and_weights
-    compute_witnesses_and_weights(X, K)  # raises if K is not a splitting set
-    K = sorted(K)
-    pieces_terms = []
-    for copy in X.copies:
-        T = X.copy_terminals(copy)
-        if len(T) >= 2:
-            pieces_terms.append(T)
-    npieces = len(X.copies)
-    matroids = [RemovalMatroid(X, T) for T in pieces_terms]
-
-    def check(F):
-        h = X.slack_table(F)
-        total = sum(m.table_rank(h) for m in matroids)
-        return total - len(F) * X.N, int(h[-1]) == len(F)
-
-    if len(K) > 16:
-        raise ValueError("|K| too large for exhaustive check")
-    import itertools
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(K, r) for r in range(len(K) + 1))
-    worst = None
-    ok = True
-    for F in subsets:
-        margin, h_ok = check(F)
-        if worst is None or margin < worst:
-            worst = margin
-        if margin < 0 or not h_ok:
-            ok = False
-            break
-    return ok, {"worst_margin": worst, "pieces": npieces}

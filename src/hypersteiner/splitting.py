@@ -25,7 +25,16 @@ on degree-3 trees, runs on binarize(X) and is carried back by map_back.
 
 A SplittingState holds K, its witnesses, weights and potential; the
 contraction loop carries one, shrinking it after each step
-(SplittingState.contracted).
+(SplittingState.contracted).  It computes on integers: with one Scale
+D = L * lcm(1..m), L the lcm of the edge-cost denominators and m the
+largest |W(f)| of the state it was made for, every c(e), every share
+c(f)/|W(f)|, every w(e) and Phi is an integer multiple of 1/D, and the
+state holds those integers.  Witness sets only shrink under
+contraction, so the contracted states keep the same D.  Exact Fractions come back only at the boundary: the
+`weights` and `potential` properties (the iteration log, the
+certificate, the CLI).  The DP likewise runs on integers, scaled per
+copy by L * lcm(1..|E(copy)|).  Every division on the way asserts a
+zero remainder.
 
 Every walk over a copy is one `instance.orient` over the copy's
 `BlowupGraph.adjacency`: the cleanup trees from their terminals (witness
@@ -35,9 +44,10 @@ its root edge (the random rule), and a cleanup piece from a non-terminal
 not depend on the search order, and children keep edge-id order.
 """
 
+import math
 import random as _random
 
-from .ratio import R0, harmonic
+from .ratio import Rat, R0, harmonic, lcm_denominators, exact_div, scaled
 from .instance import orient
 from .hyperlp import BlowupGraph, BlowupEdge, BlowupCopy
 
@@ -46,21 +56,51 @@ class SplittingError(ValueError):
     pass
 
 
+class Scale:
+    """D = L * lcm(1..m) for the edges of X and witness sets of size at
+    most m, with each edge's cost times D (`cost`, by edge id) and
+    lcm(1..m) * H(k) for k <= m (`harmonics`), all integers."""
+
+    __slots__ = ("D", "lcm_m", "cost", "harmonics")
+
+    def __init__(self, X, m):
+        self.lcm_m = math.lcm(*range(1, m + 1))
+        self.D = lcm_denominators(e.cost for e in X.edges.values()) * self.lcm_m
+        self.cost = {eid: scaled(e.cost, self.D) for eid, e in X.edges.items()}
+        self.harmonics = [scaled(harmonic(k), self.lcm_m) for k in range(m + 1)]
+
+
 class SplittingState:
     """K with its witness sets, core weights and potential, all relative
-    to one blowup graph; computed once, carried through contraction."""
+    to one blowup graph; computed once, carried through contraction.
 
-    __slots__ = ("X", "K", "witness", "weights", "potential")
+    `w` (core id -> integer) and `phi` are the weights and Phi times
+    scale.D, for a Scale whose m bounds every |W(f)|; `weights` and
+    `potential` are the same as exact rationals."""
 
-    def __init__(self, X, K, witness):
+    __slots__ = ("X", "K", "witness", "scale", "w", "phi")
+
+    def __init__(self, X, K, witness, scale):
         self.X = X
         self.K = frozenset(K)
         self.witness = dict(witness)   # cleanup edge id -> frozenset of core ids
-        self.weights = core_weights(X, self.K, self.witness)  # core id -> rational
-        # Phi = sum over the edges of X of c(e) H(|W(e)|), |W(e)| = 1 on K
-        self.potential = (sum((X.edges[e].cost for e in self.K), R0)
-                          + sum((X.edges[f].cost * harmonic(len(W))
-                                 for f, W in self.witness.items()), R0))
+        self.scale = scale
+        cost = scale.cost
+        self.w = core_weights(cost, self.K, self.witness)
+        # Phi = sum over the edges of X of c(e) H(|W(e)|), |W(e)| = 1 on K;
+        # c(f) D H(k) = (c(f) D / lcm(1..m)) (lcm(1..m) H(k))
+        self.phi = (sum(cost[e] for e in self.K)
+                    + sum(exact_div(cost[f], scale.lcm_m) * scale.harmonics[len(W)]
+                          for f, W in self.witness.items()))
+
+    @property
+    def weights(self):
+        D = self.scale.D
+        return {e: Rat(v, D) for e, v in self.w.items()}
+
+    @property
+    def potential(self):
+        return Rat(self.phi, self.scale.D)
 
     def contracted(self, X2, B):
         """State on X2 = (X - B - F)/Q, F the cleanup edges whose witnesses
@@ -71,7 +111,7 @@ class SplittingState:
                 witness[f] = W - B
                 if not witness[f]:
                     raise SplittingError("cleanup edge %d lost all witnesses" % f)
-        return SplittingState(X2, self.K - B, witness)
+        return SplittingState(X2, self.K - B, witness, self.scale)
 
 
 # ---- witnesses and weights ----------------------------------------------
@@ -85,18 +125,20 @@ def compute_witnesses_and_weights(X, K):
     witness = {}
     for copy in X.copies:
         _copy_witnesses(X, copy, K, witness)
-    state = SplittingState(X, K, witness)
-    assert sum(state.weights.values(), R0) == X.total_cost(), \
+    scale = Scale(X, max(map(len, witness.values()), default=0))
+    state = SplittingState(X, K, witness, scale)
+    assert sum(state.w.values()) == sum(state.scale.cost.values()), \
         "weight conservation failed"
     return state
 
 
-def core_weights(X, K, witness):
+def core_weights(cost, K, witness):
     """w(e) = c(e) + sum of c(f)/|W(f)| over cleanup f with e in W(f),
-    for the core edges e in K; every W(f) must be nonempty."""
-    weights = {e: X.edges[e].cost for e in K}
+    for the core edges e in K, on integer costs `cost` (edge id -> c D)
+    that every |W(f)| divides; every W(f) must be nonempty."""
+    weights = {e: cost[e] for e in K}
     for f, W in witness.items():
-        share = X.edges[f].cost / len(W)
+        share = exact_div(cost[f], len(W))
         for e in W:
             weights[e] += share
     return weights
@@ -303,24 +345,28 @@ def optimal_splitting_set(X):
     terminal yet) indexed by the number of inside core edges incident to
     the root's piece.  Value ties keep the first candidate in a fixed
     deterministic scan order (extensions before merges, smaller indices
-    first)."""
+    first).  Values are integers: Phi times L * lcm(1..|E(copy)|), with L
+    the lcm of the cost denominators of X, so c(e) H(a) is an integer for
+    every a the tables index."""
     K = set()
     memo = {}
+    L = lcm_denominators(e.cost for e in X.edges.values())
     for copy in X.copies:
         key = copy.shape
         if key in memo:
             pattern = memo[key]
         else:
-            pattern = _dp_copy(X, copy)
+            pattern = _dp_copy(X, copy, L)
             memo[key] = pattern
         # pattern: set of positions (indices into copy.edge_ids) that are core
         K.update(copy.edge_ids[i] for i in pattern)
     return compute_witnesses_and_weights(X, K)
 
 
-def _dp_copy(X, copy):
+def _dp_copy(X, copy, L):
     """Core positions of a minimum-potential splitting set of one copy,
-    rooted at its smallest terminal."""
+    rooted at its smallest terminal; L is a common denominator of the
+    copy's costs."""
     adj = X.adjacency(copy.vertices, copy.edge_ids)
     terms = sorted(X.copy_terminals(copy))
     if not terms:
@@ -332,15 +378,18 @@ def _dp_copy(X, copy):
     children = _children(adj, terms[:1])
     M = len(copy.edge_ids)
     pos = {eid: i for i, eid in enumerate(copy.edge_ids)}
+    lcm_m = math.lcm(*range(1, M + 1))
+    cost = {eid: scaled(X.edges[eid].cost, L) for eid in copy.edge_ids}
+    hs = [scaled(harmonic(a), lcm_m) for a in range(M + 1)]
 
     def tables(v):
         """(A, B) tables for the partial tree = v plus everything below."""
         if v in X.R:
-            base_e = _Entry(R0, ("base",))
+            base_e = _Entry(0, ("base",))
             return {a: base_e for a in range(M + 1)}, {}
-        A, B = {}, {0: _Entry(R0, ("base",))}
+        A, B = {}, {0: _Entry(0, ("base",))}
         for (u, eid) in children[v]:
-            A2, B2 = _extend(X, eid, *tables(u), M)
+            A2, B2 = _extend(cost[eid], hs, eid, *tables(u), M)
             A, B = _merge(A, B, A2, B2, M)
         return A, B
 
@@ -349,7 +398,7 @@ def _dp_copy(X, copy):
     # its one outside core edge, or cleanup over a terminal-less child
     # piece) is complete; ties go to the smaller index
     [(u, eid)] = children[terms[0]]
-    _, B = _extend(X, eid, *tables(u), M)
+    _, B = _extend(cost[eid], hs, eid, *tables(u), M)
     if not B:
         raise SplittingError("copy %d admits no splitting set" % copy.id)
     best = B[min(B, key=lambda b: (B[b].val, b))]
@@ -372,25 +421,25 @@ def _dp_copy(X, copy):
     return {pos[eid] for eid in copy.edge_ids if eid not in cleanup}
 
 
-def _extend(X, eid, Au, Bu, M):
+def _extend(c, hs, eid, Au, Bu, M):
     """Tables for the tree consisting of a non-terminal v, the edge
-    eid = (v, u), and u's partial tree."""
-    c = X.edges[eid].cost
+    eid = (v, u) of scaled cost c, and u's partial tree; hs[a] is H(a)
+    on the matching scale."""
     A2, B2 = {}, {}
     # core edge: the child side must already own a terminal and sees
     # exactly this one outside core edge
     ch = Au.get(1)
     if ch is not None:
-        B2[1] = _Entry(ch.val + c, ("ext", eid, "core", ch))
+        B2[1] = _Entry(ch.val + c * hs[1], ("ext", eid, "core", ch))
     # cleanup edge continuing the child's terminal piece up to v
     for a in range(1, M + 1):
         ch = Au.get(a)
         if ch is not None:
-            A2[a] = _Entry(ch.val + c * harmonic(a), ("ext", eid, "clean", ch))
+            A2[a] = _Entry(ch.val + c * hs[a], ("ext", eid, "clean", ch))
     # cleanup edge over a terminal-less child piece
     for b, ch in sorted(Bu.items()):
         if b >= 1:
-            cand = _Entry(ch.val + c * harmonic(b), ("ext", eid, "clean", ch))
+            cand = _Entry(ch.val + c * hs[b], ("ext", eid, "clean", ch))
             if _better(B2.get(b), cand):
                 B2[b] = cand
     return A2, B2

@@ -1,4 +1,9 @@
+import importlib
+import importlib.util
+import pathlib
 import random
+import sys
+import types
 
 import pytest
 
@@ -6,6 +11,8 @@ from hypersteiner.ratio import Rat
 from hypersteiner.instance import SteinerInstance, UnionFind, generate_random
 from hypersteiner.components import enumerate_components
 from hypersteiner import hyperlp
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def triangle_star_instance():
@@ -67,3 +74,31 @@ def small_blowup(seed, terminals=None, steiner=None):
 @pytest.fixture
 def frac_n2():
     return fractional_solution_n2()
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py loaded from its path (it imports its sibling
+    `checks` by name), with the package modules its corpus makers and
+    solvers call."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(BENCH))
+    hs = types.SimpleNamespace(**{
+        name: importlib.import_module("hypersteiner." + name)
+        for name in ("instance", "components", "hyperlp", "contract_alg",
+                     "bcr_quasi")})
+    return workloads, hs
+
+
+def frac_point(seed):
+    """(instance, point) of the frac-contract benchmark's kind: the full
+    components of 12 perturbed Steiner trees of an 8-terminal graph, mixed
+    equally (N > 1)."""
+    workloads, hs = perfbench_workloads()
+    item = workloads.make_frac(hs, random.Random(seed), 0)
+    return item.inst, item.point

@@ -174,7 +174,7 @@ def test_criterion_6_uniform_point():
         state = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
         if len(state.K) > 14:
             continue
-        ok, details = removal_matroid.verify_uniform_point(X, state.K)
+        ok, details = oracles.verify_uniform_point(X, state.K)
         assert ok, details
         checked += 1
     _report(6, True, "%d instances, all F subsets of K: membership + per-piece "

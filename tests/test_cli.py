@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat
 from hypersteiner.instance import generate_random, render_stp
-from hypersteiner import bcr_quasi, cli
+from hypersteiner import bcr_quasi, cli, contract_alg
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,19 @@ def test_invariant_details_json_on_stderr(qb_file, capsys, monkeypatch):
         "details": {"center": 5, "H": [[5, 1], [2, 5]],
                     "caps": {"(5, 1)": {"num": 1, "den": 3,
                                         "decimal": 1 / 3}}}}
+
+
+def test_contraction_failure_exits_1(capsys, monkeypatch):
+    # an empty basis leaves Q's terminals in one piece, so the contraction
+    # itself fails: an internal invariant (exit 1), not a usage error
+    select = contract_alg.select_component
+    monkeypatch.setattr(contract_alg, "select_component",
+                        lambda state: (select(state)[0], frozenset()))
+    g17 = pathlib.Path(__file__).resolve().parent / "golden" / "g17.stp"
+    code = cli.main(["run", str(g17), "--check"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("invariant violated: copy ")
 
 
 _FUZZ_BASES = [render_stp(generate_random(3, 2, 0.5, seed=17)),

@@ -1,13 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from hypersteiner.ratio import Rat, LN4_UPPER
-from hypersteiner.instance import generate_random
+from hypersteiner.ratio import Rat, LN4_UPPER, lcm_denominators
+from hypersteiner.instance import SteinerInstance, generate_random
 from hypersteiner import contract_alg, hyperlp, oracles, splitting
-from hypersteiner.components import enumerate_components
+from hypersteiner.components import Component, enumerate_components
 
-from conftest import (fractional_solution_n2, mixed_hypertree_point,
-                      triangle_star_instance)
+from conftest import (frac_point, fractional_solution_n2,
+                      mixed_hypertree_point, triangle_star_instance)
 
 
 @settings(max_examples=12, deadline=None)
@@ -86,21 +86,122 @@ def test_check_mode_rejects_dependent_basis(monkeypatch):
 def test_check_mode_recomputes_weights(monkeypatch):
     """check=True recomputes the weights from fresh witness sets, so
     weights that conserve the total cost but are wrong raise.  The shift
-    moves 1/1000 from the second-largest core id to the largest; on this
-    point the first step's potential-drop check stays quiet, so only the
-    recomputation catches it."""
+    moves one unit of the integer scale (1/D) from the second-largest core
+    id to the largest; on this point the first step's potential-drop
+    check stays quiet, so only the recomputation catches it."""
     inst, sol = mixed_hypertree_point(1, 3)
     core_weights = splitting.core_weights
 
-    def shifted(X, K, witness):
-        weights = core_weights(X, K, witness)
+    def shifted(cost, K, witness):
+        weights = core_weights(cost, K, witness)
         if len(weights) >= 2:
             b, a = sorted(weights)[-2:]
-            weights[a] += Rat(1, 1000)
-            weights[b] -= Rat(1, 1000)
+            weights[a] += 1
+            weights[b] -= 1
         return weights
 
     monkeypatch.setattr(splitting, "core_weights", shifted)
     with pytest.raises(contract_alg.InvariantViolation,
                        match="incremental weight update diverged"):
         contract_alg.run_from_solution(inst, sol, check=True)
+
+
+def test_check_mode_catches_low_score_bound(monkeypatch):
+    """A score bound one unit too low can skip the winning piece.  Planted
+    on the terminal set {1, 7} (7 a contracted terminal) of one iteration
+    on this point, it makes a run without check silently contract another
+    copy there.  With check=True the greedy also runs on the pieces the
+    bound skips, and that skipped piece's score above its bound raises."""
+    inst, sol = mixed_hypertree_point(3, 2)
+    _, cert = contract_alg.run_from_solution(inst, sol)
+    assert cert["N"] == 2
+    assert [1, 7] in [it["terminals"] for it in cert["iterations"]]
+    bound = contract_alg._score_bound
+    low_T = frozenset({1, 7})
+    monkeypatch.setattr(contract_alg, "_score_bound",
+                        lambda top, N, T, cost: bound(top, N, T, cost) - (T == low_T))
+    _, low = contract_alg.run_from_solution(inst, sol)
+    assert low["iterations"] != cert["iterations"]
+    with pytest.raises(contract_alg.InvariantViolation,
+                       match=r"terminals \[1, 7\] above its bound"):
+        contract_alg.run_from_solution(inst, sol, check=True)
+
+
+def test_rank_deficient_ground_set_is_an_invariant_violation(monkeypatch):
+    # the greedy's ValueError on too few candidate edges is an internal
+    # failure of the contraction, not a usage error
+    inst, sol = mixed_hypertree_point(1, 3)
+    greedy = contract_alg.greedy_max_weight_basis
+    monkeypatch.setattr(contract_alg, "greedy_max_weight_basis",
+                        lambda M, w, order: greedy(M, w, order[:M.full_rank - 1]))
+    with pytest.raises(contract_alg.InvariantViolation, match="rank deficient"):
+        contract_alg.run_from_solution(inst, sol)
+
+
+# ---- cost scaling ------------------------------------------------------------
+
+_LOG_COSTS = ("component_cost", "basis_weight", "phi")
+_CERT_COSTS = ("lp_value", "phi_initial", "phi_over_N", "contracted_cost",
+               "tree_cost")
+
+
+def _scaled_instance(inst, lam):
+    return SteinerInstance(inst.vertices,
+                           {e: c * lam for e, c in inst.costs.items()},
+                           inst.terminals)
+
+
+def _scaled_point(sol, lam):
+    return hyperlp.FractionalSolution(
+        sol.terminals, {Component(c.terminals, c.edges, c.cost * lam): v
+                        for c, v in sol.values.items()})
+
+
+def _outcome(inst, sol, check, lp=False):
+    """(tree, certificate, K) of the dp rule on sol, or on the LP optimum
+    through contract_alg.run when lp is set."""
+    if lp:
+        tree, cert = contract_alg.run(inst, check=check)
+        sol = hyperlp.solve_lp_exact(inst, enumerate_components(inst))
+    else:
+        tree, cert = contract_alg.run_from_solution(inst, sol, check=check)
+    X = hyperlp.blowup_from_solution(inst, sol)
+    return tree, cert, splitting.splitting_set(X, "dp").K
+
+
+@settings(max_examples=18, deadline=None)
+@given(st.sampled_from(["mixed", "frac", "lp"]), st.integers(0, 400),
+       st.builds(Rat, st.integers(1, 2 ** 70), st.integers(1, 2 ** 70)))
+@example("mixed", 1, Rat(7, 3))
+@example("frac", 1, Rat(7, 3))
+@example("lp", 17, Rat(7, 3))
+@example("frac", 2, Rat(2 ** 61 + 15, 2 ** 55 + 9))
+@example("mixed", 3, Rat(3, 2 ** 60 + 33))
+def test_cost_scaling(source, seed, lam):
+    """Scaling every cost by a rational lam keeps the tree edges, N, K
+    and every logged choice, and scales the LP, Phi and every logged cost
+    by exactly lam.  The scaled run uses check=True, and the integer
+    scale asserts a zero remainder wherever it divides."""
+    if source == "lp":
+        inst = generate_random(4 + seed % 2, 2 + seed % 2, 0.5, seed=seed)
+        sol = sol_l = None
+    elif source == "mixed":
+        inst, sol = mixed_hypertree_point(seed, 3)
+        assume(lcm_denominators(sol.values.values()) > 1)  # N > 1
+        sol_l = _scaled_point(sol, lam)
+    else:
+        inst, sol = frac_point(seed)
+        sol_l = _scaled_point(sol, lam)
+    tree, cert, K = _outcome(inst, sol, False, lp=sol is None)
+    tree_l, cert_l, K_l = _outcome(_scaled_instance(inst, lam), sol_l, True,
+                                   lp=sol is None)
+    assert source == "lp" or cert["N"] > 1
+    assert tree_l.edges == tree.edges
+    assert K_l == K
+    assert cert_l["N"] == cert["N"]
+    for key in _CERT_COSTS:
+        assert cert_l[key] == lam * cert[key], key
+    assert len(cert_l["iterations"]) == len(cert["iterations"])
+    for it, it_l in zip(cert["iterations"], cert_l["iterations"]):
+        assert it_l == {k: lam * v if k in _LOG_COSTS else v
+                        for k, v in it.items()}

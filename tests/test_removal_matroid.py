@@ -125,6 +125,6 @@ def test_uniform_point_exhaustive():
     X = hyperlp.blowup_from_solution(inst, sol)
     Xb = splitting.binarize(X)
     st_ = splitting.map_back(X, Xb, splitting.optimal_splitting_set(Xb))
-    ok, details = removal_matroid.verify_uniform_point(X, st_.K)
+    ok, details = oracles.verify_uniform_point(X, st_.K)
     assert ok, details
     assert details["worst_margin"] >= 0

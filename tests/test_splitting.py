@@ -6,7 +6,7 @@ from hypersteiner.instance import generate_random
 from hypersteiner.components import enumerate_components
 from hypersteiner import hyperlp, splitting, oracles
 
-from conftest import small_blowup, fractional_solution_n2
+from conftest import frac_point, small_blowup, fractional_solution_n2
 
 
 def _cost_of(X):
@@ -38,6 +38,27 @@ def test_dp_matches_exhaustive(seed):
                for K in oracles.enumerate_splitting_sets(X))
     assert state.potential == best
     assert splitting.splitting_set(X, "dp").potential == best
+
+
+def test_dp_matches_exhaustive_on_frac_copies():
+    # copies of 4-12 edges with Steiner paths, where the minimum trades
+    # core against cleanup edges with one witness; small_blowup copies
+    # are too small to tell a DP that misweighs those apart
+    checked = 0
+    for seed in range(10):
+        inst, sol = frac_point(seed)
+        X = hyperlp.blowup_from_solution(inst, sol)
+        shapes = {c.shape: c for c in reversed(X.copies)
+                  if 4 <= len(c.edge_ids) <= 12}
+        for copy in shapes.values():
+            Y = hyperlp.BlowupGraph(1, X.copy_terminals(copy), [copy],
+                                    {e: X.edges[e] for e in copy.edge_ids},
+                                    X._next_vid, X._next_eid, X._next_cid)
+            best = min(splitting.compute_witnesses_and_weights(Y, K).potential
+                       for K in oracles.enumerate_splitting_sets(Y))
+            assert splitting.optimal_splitting_set(Y).potential == best
+            checked += 1
+    assert checked >= 60
 
 
 @settings(max_examples=15, deadline=None)
