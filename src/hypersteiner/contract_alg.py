@@ -40,7 +40,12 @@ from .removal_matroid import RemovalMatroid, greedy_max_weight_basis, weight_ord
 
 
 class InvariantViolation(AssertionError):
-    pass
+    """A violated invariant of the contraction phase; `details` carries
+    its witness data (the CLI prints them as one JSON line)."""
+
+    def __init__(self, msg, details=None):
+        super().__init__(msg)
+        self.details = details or {}
 
 
 class AlgorithmState:
@@ -103,24 +108,34 @@ def select_component(state):
             break
         c, copy = groups[T]
         M = RemovalMatroid(X, T, groundset=split.K)
-        try:
-            B = greedy_max_weight_basis(M, w, order)
-        except ValueError as exc:
-            raise InvariantViolation(str(exc)) from None
+        B = greedy_max_weight_basis(M, w, order)
+        if len(B) != M.full_rank:
+            raise InvariantViolation(
+                "ground set is rank deficient: %d < %d" % (len(B), M.full_rank),
+                {"terminals": sorted(T), "basis_size": len(B),
+                 "full_rank": M.full_rank})
         if state.check and M.rank(B) != M.full_rank:
-            raise InvariantViolation("greedy basis for terminals %s has rank "
-                                     "%d < %d on a full slack table"
-                                     % (sorted(T), M.rank(B), M.full_rank))
+            rank = M.rank(B)
+            raise InvariantViolation(
+                "greedy basis for terminals %s has rank %d < %d on a full "
+                "slack table" % (sorted(T), rank, M.full_rank),
+                {"terminals": sorted(T), "rank": rank, "full_rank": M.full_rank})
         score = sum(w[e] for e in B) - N * c
         if state.check and score > bound:
-            raise InvariantViolation("score %s of terminals %s above its bound %s"
-                                     % (score, sorted(T), bound))
+            raise InvariantViolation(
+                "score %s of terminals %s above its bound %s"
+                % (score, sorted(T), bound),
+                {"terminals": sorted(T), "score": Rat(score, N * split.scale.D),
+                 "bound": Rat(bound, N * split.scale.D)})
         if not beaten and (best is None or (score, -cid) > best[:2]):
             best = (score, -cid, copy, B)
     score, _, copy, B = best
     if score < 0:
+        margin = Rat(score, N * split.scale.D)
         raise InvariantViolation("no component with N*cost(Q) <= w(B): "
-                                 "best margin %s" % Rat(score, N * split.scale.D))
+                                 "best margin %s" % margin,
+                                 {"terminals": sorted(X.copy_terminals(copy)),
+                                  "margin": margin})
     return copy, B
 
 
@@ -144,8 +159,11 @@ def contract_step(state, Q, B):
         raise InvariantViolation(str(exc)) from None
     phi = state.split.phi
     if split.phi - phi < wB:
-        raise InvariantViolation("potential dropped by %s < basis weight %s"
-                                 % (Rat(split.phi - phi, D), Rat(wB, D)))
+        raise InvariantViolation(
+            "potential dropped by %s < basis weight %s"
+            % (Rat(split.phi - phi, D), Rat(wB, D)),
+            {"terminals": sorted(TQ), "phi_before": Rat(split.phi, D),
+             "phi_after": Rat(phi, D), "basis_weight": Rat(wB, D)})
     state.log.append({
         "terminals": sorted(TQ), "new_terminal": z,
         "component_cost": Rat(sum(split.scale.cost[e] for e in Q.edge_ids), D),

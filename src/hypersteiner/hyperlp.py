@@ -18,21 +18,36 @@ X - F is split per copy; pieces never merge through shared terminals.
 x is LP-feasible iff h >= 0 on all nonempty S and h(R) = 0.
 
 Slack values for *all* subsets at once are produced as numpy int64
-tables indexed by terminal bitmask.  A table is N(|S| - 1) minus one
-contribution vector per copy, memoized per (copy shape, removed local
-edges).  Removing one more edge e changes only the vector of e's copy,
-so the removal-matroid greedy builds one table and then updates it by
-one copy delta per candidate edge; `edge_slots` locates that copy.
+tables indexed by terminal bitmask.  A table is N(|S| - 1) minus, per
+piece P, (|S cap P| - 1)+ read off one (popcount - 1)+ table at
+S & mask(P), once per distinct piece mask; the copies an edge set F
+cuts are split into their pieces by `copy_pieces`.  The removal-matroid greedy reads no
+table per candidate edge: `edge_slots` gives every edge its copy, the
+terminal mask below it and its ancestor edges (one `instance.orient` per
+copy), from which the two sides of its piece follow by mask arithmetic.
 """
 
+import functools
 import itertools
+from collections import Counter
 
 import numpy as np
 
 from .ratio import Rat, R0, lcm_denominators
-from .instance import UnionFind
+from .instance import UnionFind, orient
 
 TABLE_TERMINAL_CAP = 16
+
+
+@functools.lru_cache(maxsize=None)
+def pcm1_table(r):
+    """(popcount - 1)+ over all r-bit terminal masks, read-only."""
+    pc = np.zeros(1 << r, dtype=np.int64)
+    for i in range(r):
+        pc[1 << i:1 << (i + 1)] = pc[:1 << i] + 1
+    v = np.maximum(pc - 1, 0)
+    v.setflags(write=False)
+    return v
 
 
 class BlowupEdge:
@@ -67,7 +82,11 @@ class BlowupGraph:
     contraction step, returns a new graph.
 
     Edge ids are stable across it, so external bookkeeping (splitting
-    sets, witness sets) survives.
+    sets, witness sets) survives.  Each graph builds two caches on first
+    use: the slack table of X (`slack_table()`) and the per-edge table
+    of `edge_slots`, which the removal-matroid greedy reads instead of
+    slack tables.  Terminal bit positions change under contraction, so
+    a contracted graph builds both again.
     """
 
     def __init__(self, N, terminals, copies, edges, next_vid, next_eid, next_cid):
@@ -80,7 +99,7 @@ class BlowupGraph:
         self._next_cid = next_cid
         self.terminal_order = tuple(sorted(self.R))
         self._tidx = {t: i for i, t in enumerate(self.terminal_order)}
-        self._memo = {}
+        self._table = None
         self._slots = None
 
     # ---- basic accessors -------------------------------------------------
@@ -136,71 +155,63 @@ class BlowupGraph:
             eids[find(self.edges[eid].u)].append(eid)
         return [(tuple(verts[r]), tuple(eids[r])) for r in sorted(verts)]
 
-    def _copy_contrib(self, copy, removed_local):
-        """Summed contribution vector of one copy's pieces over every terminal
-        mask: vec[S] = sum over pieces P of (|S cap P| - 1)+."""
-        key = (copy.shape, removed_local)
-        vec = self._memo.get(key)
-        if vec is not None:
-            return vec
-        removed = {copy.edge_ids[i] for i in removed_local}
-        r = len(self.terminal_order)
-        pcm1 = self._pcm1()
-        idx = np.arange(1 << r, dtype=np.int64)
-        vec = np.zeros(1 << r, dtype=np.int64)
-        for vs, _ in self.copy_pieces(copy, removed):
-            m = self.term_mask(vs)
-            if m:
-                vec += pcm1[idx & m]
-        self._memo[key] = vec
-        return vec
-
-    def _pcm1(self):
-        # (popcount - 1)+ lookup over all terminal masks
-        key = ("pcm1", len(self.terminal_order))
-        v = self._memo.get(key)
-        if v is None:
-            r = len(self.terminal_order)
-            pc = np.zeros(1 << r, dtype=np.int64)
-            for i in range(r):
-                pc[1 << i:1 << (i + 1)] = pc[:1 << i] + 1
-            v = np.maximum(pc - 1, 0)
-            self._memo[key] = v
-        return v
-
     def edge_slots(self):
-        """Edge id -> (index into self.copies, index into that copy's
-        edge_ids); built on first use."""
+        """Edge id -> (index into self.copies, terminal mask of that copy,
+        terminal mask below the edge, frozenset of its ancestor edges), with
+        each copy rooted at its smallest vertex by one `instance.orient`;
+        built on first use.
+
+        Under a set C of the copy's edges removed, the piece holding an
+        edge e outside C has the terminal mask: the copy's mask, AND
+        below(f) for each ancestor f of e in C, AND NOT below(f) for each
+        other f in C.  Removing e splits it into piece & below(e) and
+        piece & ~below(e)."""
         if self._slots is None:
-            self._slots = {e: (ci, i) for ci, copy in enumerate(self.copies)
-                           for i, e in enumerate(copy.edge_ids)}
+            tidx = self._tidx
+            slots = {}
+            for ci, copy in enumerate(self.copies):
+                root = copy.vertices[0]
+                order, parent = orient(self.adjacency(copy.vertices, copy.edge_ids),
+                                       [root])
+                below = {v: 1 << tidx[v] if v in tidx else 0 for v in order}
+                for v in reversed(order[1:]):
+                    below[parent[v][0]] |= below[v]
+                up = {root: frozenset()}
+                for v in order[1:]:
+                    p, eid = parent[v]
+                    up[v] = up[p] | {eid}
+                    slots[eid] = (ci, below[root], below[v], up[p])
+            self._slots = slots
         return self._slots
 
     def slack_table(self, F=frozenset()):
         """numpy int64 vector of h(S) over all 2^|R| terminal masks (entry 0
         is set to 0 by convention).  Ids in F that are not edges of the
-        graph are ignored.  The table of X itself (F empty) is built once
-        and shared, so it is read-only."""
+        graph are ignored; the copies F cuts are split by `copy_pieces`.
+        The table of X itself (F empty) is built once and shared, so it
+        is read-only."""
         r = len(self.terminal_order)
         if r > TABLE_TERMINAL_CAP:
             raise ValueError("terminal set too large for slack tables")
-        if not F and "table" in self._memo:
-            return self._memo["table"]
-        pcm1 = self._pcm1()
-        pc = pcm1 + np.minimum(np.arange(1 << r, dtype=np.int64), 1)  # popcount via (x-1)+ + [x>0]
-        h = self.N * (pc - 1)
-        slots = self.edge_slots()
-        removed = {}
-        for eid in F:
-            slot = slots.get(eid)
-            if slot is not None:
-                removed.setdefault(slot[0], set()).add(slot[1])
-        for ci, copy in enumerate(self.copies):
-            h -= self._copy_contrib(copy, frozenset(removed.get(ci, ())))
+        F = frozenset(F)
+        if not F and self._table is not None:
+            return self._table
+        masks = Counter()
+        for copy in self.copies:
+            if F.isdisjoint(copy.edge_ids):
+                masks[self.term_mask(copy.vertices)] += 1
+            else:
+                masks.update(self.term_mask(vs) for vs, _ in self.copy_pieces(copy, F))
+        idx = np.arange(1 << r, dtype=np.int64)
+        pcm1 = pcm1_table(r)
+        h = self.N * (pcm1 + np.minimum(idx, 1) - 1)  # popcount = (x-1)+ + [x>0]
+        for m, count in masks.items():
+            if m & (m - 1):  # two terminals or more
+                h -= count * pcm1[idx & m]
         h[0] = 0
         if not F:
             h.setflags(write=False)
-            self._memo["table"] = h
+            self._table = h
         return h
 
     def is_feasible(self):

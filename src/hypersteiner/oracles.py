@@ -17,6 +17,7 @@ import numpy as np
 
 from .ratio import Rat, R0
 from .instance import edge_key, orient, SteinerTree
+from .hyperlp import pcm1_table
 from .removal_matroid import RemovalMatroid
 from .sepflow import FlowNet, INF
 from .splitting import compute_witnesses_and_weights
@@ -223,7 +224,7 @@ def add_component_slack_ok(X, terminals, B):
     Q-copies stay whole."""
     q = X.term_mask(terminals)
     h = X.slack_table(B)
-    pcm1 = X._pcm1()
+    pcm1 = pcm1_table(len(X.terminal_order))
     idx = np.arange(len(h), dtype=np.int64)
     ext = h - X.N * pcm1[idx & q]
     return bool(ext.min() >= 0 and ext[-1] == 0)

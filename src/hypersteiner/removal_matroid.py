@@ -8,17 +8,21 @@ stays feasible" form the bases of a matroid on E(X) with rank function
 
 of total rank N(|Q|-1).  `RemovalMatroid.rank` reads it off the dense
 slack table of X - F as the minimum over the supersets of Q's bitmask;
-this is the only rank oracle of the pipeline.  The paper's max-flow
-evaluations of the same rank, the gammoid and the flow identity behind
+this is the only rank oracle of the pipeline, and check mode ranks
+every greedy basis again on it.  The paper's max-flow evaluations of
+the same rank, the gammoid and the flow identity behind
 `min_slack_over_supersets`, a brute-force basis scan and the exhaustive
 2^|K| membership check of the uniform point (`verify_uniform_point`)
 live in `oracles` as references.
 
-The greedy max-weight basis builds no table per query: it keeps the
-slack table of X - B and adds one copy delta per candidate edge (see
-`greedy_max_weight_basis`).  It only sorts by the weights, so any
-totally ordered numbers serve; the contraction loop passes the
-splitting state's integer weights.
+The greedy max-weight basis reads no slack table per candidate edge.
+Every piece of X - B is a tree, so removing one more edge e splits its
+piece into two sides with terminal masks m1 and m2, and h(S) rises by
+exactly 1 if S meets both sides, else stays.  Hence B + e is
+independent iff every tight superset S of Q (h(S) = |B| on X - B)
+meets both sides: a test on bitmasks (`greedy_max_weight_basis`).  It
+only sorts by the weights, so any totally ordered numbers serve; the
+contraction loop passes the splitting state's integer weights.
 """
 
 from .ratio import R0
@@ -53,35 +57,44 @@ def weight_order(edges, w):
 
 
 def greedy_max_weight_basis(M, w, order=None):
-    """Greedy basis of M maximizing total weight: edges in `order`
-    (default weight_order(M.groundset, w); callers building several bases
-    over one ground set sort it once), each kept when independence is
-    preserved.  Raises if the ground set does not contain a basis.
+    """Greedy max-weight independent set of M: edges in `order` (default
+    weight_order(M.groundset, w); callers building several bases over
+    one ground set sort it once), each kept when independence is
+    preserved.  It is a basis iff the ground set holds one; callers
+    compare its size with M.full_rank.
 
-    Independence is read off slack tables without `M.rank`: h starts
-    as the table of X, and the table of X - (B + e) is h plus the old and
-    minus the new contribution vector of e's copy, so B + e is
-    independent iff its superset minimum over Q is |B| + 1."""
+    The excess h(S) - |B| of X - B is kept on Q's supersets, with the
+    tight ones (excess 0).  An edge e whose piece splits into sides m1
+    and m2 (`BlowupGraph.edge_slots`) is dependent if a side holds no
+    terminal, independent without a scan if Q meets both sides (then
+    every superset does and no excess moves), and otherwise independent
+    iff every tight S meets both sides.  Only that last kind of accept
+    updates the excesses."""
     X = M.X
     if order is None:
         order = weight_order(M.groundset, w)
     slots = X.edge_slots()
-    h = X.slack_table()
-    removed = {}  # copy index -> local indices of B's edges in that copy
+    q = X.term_mask(M.Q)
+    masks = M._supersets.tolist()
+    excess = X.slack_table()[M._supersets].tolist()
+    tight = [S for S, x in zip(masks, excess) if x == 0]
+    cuts = {}  # copy index -> [(edge id, below mask)] of B's edges there
     B = set()
     for e in order:
         if len(B) == M.full_rank:
             break
-        ci, i = slots[e]
-        copy = X.copies[ci]
-        old = removed.get(ci, frozenset())
-        new = old | {i}
-        h_e = h + X._copy_contrib(copy, old) - X._copy_contrib(copy, new)
-        if M.table_rank(h_e) == len(B) + 1:
-            B.add(e)
-            h = h_e
-            removed[ci] = new
-    if len(B) != M.full_rank:
-        raise ValueError("ground set is rank deficient: %d < %d"
-                         % (len(B), M.full_rank))
+        ci, piece, below, ancestors = slots[e]
+        for f, fbelow in cuts.get(ci, ()):
+            piece &= fbelow if f in ancestors else ~fbelow
+        m1, m2 = piece & below, piece & ~below
+        if not (m1 and m2):
+            continue
+        if not (q & m1 and q & m2):
+            if not all(S & m1 and S & m2 for S in tight):
+                continue
+            excess = [x - 1 + bool(S & m1 and S & m2)
+                      for S, x in zip(masks, excess)]
+            tight = [S for S, x in zip(masks, excess) if x == 0]
+        B.add(e)
+        cuts.setdefault(ci, []).append((e, below))
     return frozenset(B)

@@ -193,6 +193,24 @@ def test_contraction_failure_exits_1(capsys, monkeypatch):
     assert captured.err.startswith("invariant violated: copy ")
 
 
+def test_invariant_violation_details_json_on_stderr(capsys, monkeypatch):
+    # a greedy cut short of a basis: the error line, then the witness data
+    greedy = contract_alg.greedy_max_weight_basis
+    monkeypatch.setattr(contract_alg, "greedy_max_weight_basis",
+                        lambda M, w, order: greedy(M, w, order[:M.full_rank - 1]))
+    g17 = pathlib.Path(__file__).resolve().parent / "golden" / "g17.stp"
+    code = cli.main(["run", str(g17)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    message = "ground set is rank deficient: 0 < 1"
+    assert captured.err.splitlines() == [
+        "invariant violated: " + message,
+        json.dumps({"type": "InvariantViolation", "message": message,
+                    "details": {"terminals": [2, 4], "basis_size": 0,
+                                "full_rank": 1}}, sort_keys=True)]
+
+
 _FUZZ_BASES = [render_stp(generate_random(3, 2, 0.5, seed=17)),
                render_stp(generate_random(3, 2, 0.5, seed=18,
                                           quasi_bipartite=True))]

@@ -83,6 +83,31 @@ def test_check_mode_rejects_dependent_basis(monkeypatch):
         contract_alg.run_from_solution(inst, sol, check=True)
 
 
+def test_check_mode_catches_bad_subtree_mask(monkeypatch):
+    """check=True ranks every greedy basis again on a full slack table,
+    whose pieces come from `copy_pieces`, not from the edge table of
+    `edge_slots`.  Edge 6 of this point joins terminal 4 to the centre of
+    a star over 1, 3, 4; its entry is corrupted to put terminal 1 below it
+    instead, so the greedy takes a dependent edge for terminals [1, 3]."""
+    inst, sol = mixed_hypertree_point(1, 3)
+    X = hyperlp.blowup_from_solution(inst, sol)
+    assert X.edge_slots()[6][1:3] == (X.term_mask([1, 3, 4]), X.term_mask([4]))
+    slots = hyperlp.BlowupGraph.edge_slots
+
+    def corrupted(X):
+        table = slots(X)
+        if 6 in table:
+            ci, cm, below, ancestors = table[6]
+            table[6] = (ci, cm, cm & -cm, ancestors)
+        return table
+
+    monkeypatch.setattr(hyperlp.BlowupGraph, "edge_slots", corrupted)
+    with pytest.raises(contract_alg.InvariantViolation,
+                       match=r"greedy basis for terminals \[1, 3\] has rank 2 < 3") as exc:
+        contract_alg.run_from_solution(inst, sol, check=True)
+    assert exc.value.details == {"terminals": [1, 3], "rank": 2, "full_rank": 3}
+
+
 def test_check_mode_recomputes_weights(monkeypatch):
     """check=True recomputes the weights from fresh witness sets, so
     weights that conserve the total cost but are wrong raise.  The shift
@@ -123,8 +148,30 @@ def test_check_mode_catches_low_score_bound(monkeypatch):
     _, low = contract_alg.run_from_solution(inst, sol)
     assert low["iterations"] != cert["iterations"]
     with pytest.raises(contract_alg.InvariantViolation,
-                       match=r"terminals \[1, 7\] above its bound"):
+                       match=r"terminals \[1, 7\] above its bound") as exc:
         contract_alg.run_from_solution(inst, sol, check=True)
+    details = exc.value.details
+    assert details["terminals"] == [1, 7]
+    assert details["bound"] < details["score"]
+
+
+def test_potential_drop_check_carries_values(monkeypatch):
+    # a contracted state whose potential did not drop at all
+    inst, sol = mixed_hypertree_point(1, 3)
+    contracted = splitting.SplittingState.contracted
+
+    def no_drop(self, X2, B):
+        new = contracted(self, X2, B)
+        new.phi = self.phi
+        return new
+
+    monkeypatch.setattr(splitting.SplittingState, "contracted", no_drop)
+    with pytest.raises(contract_alg.InvariantViolation,
+                       match="potential dropped by 0 < basis weight") as exc:
+        contract_alg.run_from_solution(inst, sol)
+    details = exc.value.details
+    assert details["phi_before"] == details["phi_after"]
+    assert details["basis_weight"] > 0
 
 
 def test_rank_deficient_ground_set_is_an_invariant_violation(monkeypatch):
@@ -134,8 +181,10 @@ def test_rank_deficient_ground_set_is_an_invariant_violation(monkeypatch):
     greedy = contract_alg.greedy_max_weight_basis
     monkeypatch.setattr(contract_alg, "greedy_max_weight_basis",
                         lambda M, w, order: greedy(M, w, order[:M.full_rank - 1]))
-    with pytest.raises(contract_alg.InvariantViolation, match="rank deficient"):
+    with pytest.raises(contract_alg.InvariantViolation, match="rank deficient") as exc:
         contract_alg.run_from_solution(inst, sol)
+    assert exc.value.details == {"terminals": [1, 3], "basis_size": 0,
+                                 "full_rank": 3}
 
 
 # ---- cost scaling ------------------------------------------------------------

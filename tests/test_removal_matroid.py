@@ -1,12 +1,14 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat
-from hypersteiner import hyperlp, splitting, removal_matroid, oracles
+from hypersteiner import contract_alg, hyperlp, splitting, removal_matroid, oracles
 
-from conftest import small_blowup, fractional_solution_n2, mixed_hypertree_point
+from conftest import (small_blowup, fractional_solution_n2, frac_point,
+                      mixed_hypertree_point)
 
 
 def _termsets(X):
@@ -97,7 +99,7 @@ def _rank_greedy(M, w, rank):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_greedy_basis_on_fractional_points(seed):
-    """N >= 2: the table-delta greedy picks the same basis as a greedy
+    """N >= 2: the mask-test greedy picks the same basis as a greedy
     asking the gammoid rank oracle, and that basis has maximum weight."""
     if seed % 5 == 0:
         inst, sol = fractional_solution_n2()
@@ -118,6 +120,62 @@ def test_greedy_basis_on_fractional_points(seed):
             assert B == _rank_greedy(M, w, gammoid.rank)
             best = max(sum((w[e] for e in b), Rat(0)) for b in minimal if b <= ground)
             assert sum((w[e] for e in B), Rat(0)) == best
+
+
+@pytest.fixture(scope="module")
+def visited_graphs():
+    """(X, K, w) at every selection `run_from_solution` makes on four
+    frac-contract points (N = 12, 8 terminals): the initial blowup, then
+    contracted graphs with ("z", ...) copies and split pieces."""
+    seen = []
+    select = contract_alg.select_component
+
+    def recording(state):
+        seen.append((state.split.X, state.split.K, state.split.w))
+        return select(state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contract_alg, "select_component", recording)
+        for seed in range(4):
+            contract_alg.run_from_solution(*frac_point(seed))
+    assert {c.shape[0] for X, _, _ in seen for c in X.copies} == {"c", "p", "z"}
+    return seen
+
+
+def test_greedy_equals_rank_greedy_on_contracted_graphs(visited_graphs):
+    """The mask test of the greedy against a greedy asking the full-table
+    rank, per terminal group, on K with the contraction's weights and on
+    all edges with small random weights (many ties)."""
+    rng = random.Random(0)
+    for X, K, w in visited_graphs:
+        w_all = {e: rng.randint(0, 3) for e in X.edges}
+        for Q in _termsets(X):
+            for ground, weights in ((K, w), (X.edges, w_all)):
+                M = removal_matroid.RemovalMatroid(X, Q, groundset=ground)
+                B = removal_matroid.greedy_max_weight_basis(M, weights)
+                assert B == _rank_greedy(M, weights, M.rank)
+                assert len(B) == M.full_rank
+
+
+def test_slack_table_matches_pieces_on_contracted_graphs(visited_graphs):
+    """slack_table(F) is N(|S| - 1) minus the sum over the pieces of
+    X - F (`copy_pieces`) of (|S cap P| - 1)+, for F empty and a random
+    half of the edges; is_feasible agrees with that reference."""
+    rng = random.Random(1)
+    for X, _, _ in visited_graphs:
+        half = frozenset(e for e in X.edges if rng.random() < 0.5)
+        for F in (frozenset(), half):
+            pieces = [X.term_mask(vs) for copy in X.copies
+                      for vs, _ in X.copy_pieces(copy, F)]
+            table = X.slack_table(F)
+            assert table[0] == 0
+            want = [X.N * (bin(S).count("1") - 1)
+                    - sum(max(bin(S & m).count("1") - 1, 0) for m in pieces)
+                    for S in range(1, len(table))]
+            assert table[1:].tolist() == want
+            if not F:
+                assert X.is_feasible() == (min(want) >= 0 and want[-1] == 0)
+                assert X.is_feasible()
 
 
 def test_uniform_point_exhaustive():
