@@ -217,8 +217,9 @@ def enumerate_components(inst, max_size=None):
     if not (2 <= max_size <= len(R)):
         raise ValueError("component size bound must be in [2, |R|]")
     if len(R) > FULL_ENUM_TERMINAL_CAP:
-        raise ValueError("too many terminals for full enumeration (cap %d)"
-                         % FULL_ENUM_TERMINAL_CAP)
+        raise ValueError("too many terminals for component enumeration: %d > "
+                         "cap %d; a component size bound (--k) does not lift "
+                         "the cap" % (len(R), FULL_ENUM_TERMINAL_CAP))
     L, kept, opt, tree = _dw_pass(inst, R, max_size)
     out = []
     for mask in sorted(kept, key=lambda m: (m.bit_count(), m)):

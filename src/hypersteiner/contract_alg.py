@@ -16,6 +16,13 @@ iteration:
 The potential Phi = sum c(e) H(|W(e)|) drops by at least w(B^Q) per
 iteration, which telescopes to: output cost <= Phi_initial / N.
 
+A step touches only the copies it cuts and those holding a terminal of
+Q.  The contracted graph carries each other copy's terminal mask and
+edge slots (BlowupGraph.contract), and the state each copy's cost, so
+grouping the pieces by terminal set reads no copy's vertices or edges;
+check mode compares all of it with the graph built fresh
+(`_check_carried`).
+
 The loop runs on the splitting state's integers (costs, weights and Phi
 times its scale D).  A piece's score is the integer
 w(B^Q) - N cost(Q), N D times the rational score, and its bound is the
@@ -70,13 +77,29 @@ def _score_bound(top, N, T, cost):
     return top[min(N * (len(T) - 1), len(top) - 1)] - N * cost
 
 
+def terminal_groups(copies, masks, cost):
+    """Terminal mask -> (integer cost, copy) of the cheapest copy with
+    that mask, ties to the smaller copy id, over the copies with two
+    terminals or more; `masks` and `cost` map copy ids."""
+    groups = {}
+    for copy in copies:
+        m = masks[copy.id]
+        if m & (m - 1):
+            c = cost[copy.id]
+            cur = groups.get(m)
+            if cur is None or (c, copy.id) < (cur[0], cur[1].id):
+                groups[m] = (c, copy)
+    return groups
+
+
 def select_component(state):
     """(Q copy, basis) maximizing w(B^Q)/N - cost(Q), ties to the smaller
     copy id.
 
-    Pieces are grouped by terminal set (the matroid only depends on it);
-    each group is represented by its cheapest copy, ties to the smaller
-    copy id.  Groups are visited in bound order and the greedy stops
+    Pieces are grouped by terminal set (the matroid only depends on it;
+    `terminal_groups`, on the masks and costs the graph and the state
+    carry); each group is represented by its cheapest copy, ties to the
+    smaller copy id.  Groups are visited in bound order and the greedy stops
     being run once no group left can win (module docstring).  The
     winning score is asserted nonnegative.  With check, the greedy also
     runs on the groups the bound skipped and each score is asserted at
@@ -84,16 +107,9 @@ def select_component(state):
     slack table."""
     split = state.split
     X = split.X
-    N, w, cost = X.N, split.w, split.scale.cost
-    groups = {}
-    for copy in X.copies:
-        T = X.copy_terminals(copy)
-        if len(T) < 2:
-            continue
-        c = sum(cost[e] for e in copy.edge_ids)
-        cur = groups.get(T)
-        if cur is None or (c, copy.id) < (cur[0], cur[1].id):
-            groups[T] = (c, copy)
+    N, w = X.N, split.w
+    groups = {X.mask_terms(m): group for m, group
+              in terminal_groups(X.copies, X.copy_masks(), split.copy_cost).items()}
     if not groups:
         raise InvariantViolation("no piece with two terminals but |R| > 1")
     order = weight_order(split.K, w)
@@ -176,6 +192,7 @@ def contract_step(state, Q, B):
 
 def _full_check(split):
     X = split.X
+    _check_carried(split)
     if len(X.R) > 1 and not X.is_feasible():
         raise InvariantViolation("contracted blowup graph is infeasible")
     # no pendant non-terminals
@@ -201,6 +218,33 @@ def _full_check(split):
             raise InvariantViolation("incremental weight update diverged")
         if phi != split.potential:
             raise InvariantViolation("carried potential diverged")
+
+
+def _check_carried(split):
+    """The data contraction carries against the same graph built fresh:
+    per edge the copy id, the copy's mask and the unordered pair of side
+    masks (the walk root may differ), the slack table of X and the
+    terminal groups with their costs."""
+    X, Y = split.X, split.X.fresh()
+    carried, fresh = X.edge_slots(), Y.edge_slots()
+    for eid in sorted(X.edges):
+        cid, cm, below, _ = fresh[eid]
+        want = [cid, cm, sorted((below, cm & ~below))]
+        try:
+            cid, cm, below, _ = carried[eid]
+            got = [cid, cm, sorted((below, cm & ~below))]
+        except KeyError:
+            got = None
+        if got != want:
+            raise InvariantViolation(
+                "carried slot of edge %d diverged from a fresh walk" % eid,
+                {"edge": eid, "carried": got, "fresh": want})
+    if X.slack_table().tolist() != Y.slack_table().tolist():
+        raise InvariantViolation("carried slack table of X diverged")
+    cost = {c.id: sum(split.scale.cost[e] for e in c.edge_ids) for c in Y.copies}
+    groups = terminal_groups(X.copies, X.copy_masks(), split.copy_cost)
+    if groups != terminal_groups(Y.copies, Y.copy_masks(), cost):
+        raise InvariantViolation("carried terminal groups diverged")
 
 
 def run(instance, k=None, strategy="dp", seed=0, check=False):

@@ -25,6 +25,13 @@ cuts are split into their pieces by `copy_pieces`.  The removal-matroid greedy r
 table per candidate edge: `edge_slots` gives every edge its copy, the
 terminal mask below it and its ancestor edges (one `instance.orient` per
 copy), from which the two sides of its piece follow by mask arithmetic.
+
+Contraction carries this derived data.  A copy that F leaves whole is
+the same tree after (X - F)/Q, with at most one terminal renamed to z;
+only its terminal masks move to the new bit positions (`_Remap`).  So
+`contract` walks only the pieces F cuts, and the contracted graph reads
+every other copy's terminal mask and edge slots off the graph before it,
+remapped: the masks at once, the slots on first read.
 """
 
 import functools
@@ -81,12 +88,14 @@ class BlowupGraph:
     """Immutable by convention: `contract`, the one operation of a
     contraction step, returns a new graph.
 
-    Edge ids are stable across it, so external bookkeeping (splitting
-    sets, witness sets) survives.  Each graph builds two caches on first
-    use: the slack table of X (`slack_table()`) and the per-edge table
-    of `edge_slots`, which the removal-matroid greedy reads instead of
-    slack tables.  Terminal bit positions change under contraction, so
-    a contracted graph builds both again.
+    Edge and copy ids are stable across it, so external bookkeeping
+    (splitting sets, witness sets, per-copy costs) survives.  Each graph
+    has three derived tables, built on first use or carried from the
+    graph it was contracted from: the terminal mask of every copy
+    (`copy_masks`), from which the slack table of X (`slack_table()`)
+    is summed, and the per-edge table of `edge_slots`, which the
+    removal-matroid greedy reads instead of slack tables.  `fresh`
+    builds all three again, for check mode to compare against.
     """
 
     def __init__(self, N, terminals, copies, edges, next_vid, next_eid, next_cid):
@@ -100,7 +109,13 @@ class BlowupGraph:
         self.terminal_order = tuple(sorted(self.R))
         self._tidx = {t: i for i, t in enumerate(self.terminal_order)}
         self._table = None
+        self._masks = None
         self._slots = None
+
+    def fresh(self):
+        """The same graph with no derived table built or carried."""
+        return BlowupGraph(self.N, self.R, self.copies, self.edges,
+                           self._next_vid, self._next_eid, self._next_cid)
 
     # ---- basic accessors -------------------------------------------------
 
@@ -123,6 +138,12 @@ class BlowupGraph:
 
     def copy_terminals(self, copy):
         return frozenset(v for v in copy.vertices if v in self.R)
+
+    def copy_masks(self):
+        """Copy id -> terminal mask of the copy; built on first use."""
+        if self._masks is None:
+            self._masks = {c.id: self.term_mask(c.vertices) for c in self.copies}
+        return self._masks
 
     def adjacency(self, vertices, edge_ids):
         """vertex -> [(neighbour, edge id)] over `edge_ids`, in that order."""
@@ -156,52 +177,61 @@ class BlowupGraph:
         return [(tuple(verts[r]), tuple(eids[r])) for r in sorted(verts)]
 
     def edge_slots(self):
-        """Edge id -> (index into self.copies, terminal mask of that copy,
-        terminal mask below the edge, frozenset of its ancestor edges), with
-        each copy rooted at its smallest vertex by one `instance.orient`;
-        built on first use.
+        """Edge id -> (copy id, terminal mask of that copy, terminal mask
+        below the edge, frozenset of its ancestor edges), with each copy
+        rooted where `_walk` first walked it: at its smallest vertex then
+        (contraction may rename that vertex to z); built on first use, or
+        carried by `contract`.  A carried table fills in as edge ids are
+        read, so read it by edge id, not by iterating it.
 
         Under a set C of the copy's edges removed, the piece holding an
         edge e outside C has the terminal mask: the copy's mask, AND
         below(f) for each ancestor f of e in C, AND NOT below(f) for each
         other f in C.  Removing e splits it into piece & below(e) and
-        piece & ~below(e)."""
+        piece & ~below(e), whichever vertex is the root."""
         if self._slots is None:
-            tidx = self._tidx
-            slots = {}
-            for ci, copy in enumerate(self.copies):
-                root = copy.vertices[0]
-                order, parent = orient(self.adjacency(copy.vertices, copy.edge_ids),
-                                       [root])
-                below = {v: 1 << tidx[v] if v in tidx else 0 for v in order}
-                for v in reversed(order[1:]):
-                    below[parent[v][0]] |= below[v]
-                up = {root: frozenset()}
-                for v in order[1:]:
-                    p, eid = parent[v]
-                    up[v] = up[p] | {eid}
-                    slots[eid] = (ci, below[root], below[v], up[p])
-            self._slots = slots
+            self._slots = {}
+            for copy in self.copies:
+                self._walk(copy, self._slots)
         return self._slots
+
+    def _walk(self, copy, slots):
+        """Enter the slots of one copy's edges into `slots`, by one
+        `instance.orient` from the copy's smallest vertex."""
+        tidx = self._tidx
+        root = copy.vertices[0]
+        order, parent = orient(self.adjacency(copy.vertices, copy.edge_ids), [root])
+        below = {v: 1 << tidx[v] if v in tidx else 0 for v in order}
+        for v in reversed(order[1:]):
+            below[parent[v][0]] |= below[v]
+        up = {root: frozenset()}
+        for v in order[1:]:
+            p, eid = parent[v]
+            up[v] = up[p] | {eid}
+            slots[eid] = (copy.id, below[root], below[v], up[p])
 
     def slack_table(self, F=frozenset()):
         """numpy int64 vector of h(S) over all 2^|R| terminal masks (entry 0
         is set to 0 by convention).  Ids in F that are not edges of the
-        graph are ignored; the copies F cuts are split by `copy_pieces`.
-        The table of X itself (F empty) is built once and shared, so it
-        is read-only."""
+        graph are ignored; the copies F cuts are split by `copy_pieces`,
+        and with F nonempty every mask is read off the copies' vertices.
+        The table of X itself (F empty) is summed from `copy_masks`,
+        built once and shared, so it is read-only."""
         r = len(self.terminal_order)
         if r > TABLE_TERMINAL_CAP:
             raise ValueError("terminal set too large for slack tables")
         F = frozenset(F)
         if not F and self._table is not None:
             return self._table
-        masks = Counter()
-        for copy in self.copies:
-            if F.isdisjoint(copy.edge_ids):
-                masks[self.term_mask(copy.vertices)] += 1
-            else:
-                masks.update(self.term_mask(vs) for vs, _ in self.copy_pieces(copy, F))
+        if F:
+            masks = Counter()
+            for copy in self.copies:
+                if F.isdisjoint(copy.edge_ids):
+                    masks[self.term_mask(copy.vertices)] += 1
+                else:
+                    masks.update(self.term_mask(vs) for vs, _ in self.copy_pieces(copy, F))
+        else:
+            masks = Counter(self.copy_masks().values())
         idx = np.arange(1 << r, dtype=np.int64)
         pcm1 = pcm1_table(r)
         h = self.N * (pcm1 + np.minimum(idx, 1) - 1)  # popcount = (x-1)+ + [x>0]
@@ -227,38 +257,109 @@ class BlowupGraph:
         terminal class TQ to one fresh terminal z.  Copies F leaves alone
         keep their id and shape; pieces take fresh ids; a copy or piece
         holding a terminal of TQ gets the shape ("z", shape, z) and may
-        not hold two (true after a basis removal).  Returns (graph, z)."""
+        not hold two (true after a basis removal).  Returns (graph, z).
+
+        Only the pieces are walked for the new graph's edge slots and
+        masked; every other copy carries its terminal mask and slots over
+        through one `_Remap` (module docstring)."""
         F, TQ = frozenset(F), frozenset(TQ)
         if len(TQ) < 2 or not TQ <= self.R:
             raise ValueError("need >= 2 existing terminals to contract")
         z, cid = self._next_vid, self._next_cid
-        copies, edges = [], {}
+        edges = dict(self.edges)
+        for eid in F:
+            edges.pop(eid, None)
+        copies, carried, pieces = [], [], []
         for copy in self.copies:
-            pieces = [copy]
-            if not F.isdisjoint(copy.edge_ids):
-                pieces = []
-                for vs, eids in self.copy_pieces(copy, F):
-                    if eids:
-                        pieces.append(BlowupCopy(cid, eids, vs, ("p", cid)))
-                        cid += 1
-            for p in pieces:
-                hits = TQ.intersection(p.vertices)
-                if len(hits) > 1:
-                    raise ValueError("copy %d spans several terminals of the "
-                                     "contracted component" % p.id)
-                for eid in p.edge_ids:
-                    e = self.edges[eid]
-                    if e.u in TQ or e.v in TQ:
-                        e = BlowupEdge(eid, z if e.u in TQ else e.u,
-                                       z if e.v in TQ else e.v, e.cost, e.orig)
-                    edges[eid] = e
-                if hits:
-                    p = BlowupCopy(p.id, p.edge_ids,
-                                   [z if v in TQ else v for v in p.vertices],
-                                   ("z", p.shape, z))
-                copies.append(p)
-        return BlowupGraph(self.N, (self.R - TQ) | {z}, copies, edges,
-                           z + 1, self._next_eid, cid), z
+            if F.isdisjoint(copy.edge_ids):
+                if not TQ.isdisjoint(copy.vertices):
+                    copy = _renamed(copy, TQ, z, edges)
+                copies.append(copy)
+                carried.append(copy)
+                continue
+            if F.issuperset(copy.edge_ids):
+                continue  # no piece keeps an edge
+            for vs, eids in self.copy_pieces(copy, F):
+                if eids:
+                    p = BlowupCopy(cid, eids, vs, ("p", cid))
+                    cid += 1
+                    if not TQ.isdisjoint(vs):
+                        p = _renamed(p, TQ, z, edges)
+                    copies.append(p)
+                    pieces.append(p)
+        X2 = BlowupGraph(self.N, (self.R - TQ) | {z}, copies, edges,
+                         z + 1, self._next_eid, cid)
+        remap = _Remap(self.term_mask(TQ), len(X2.terminal_order))
+        masks = self.copy_masks()
+        X2._masks = {c.id: remap[masks[c.id]] for c in carried}
+        X2._slots = _CarriedSlots(self.edge_slots(), remap)
+        for p in pieces:
+            X2._masks[p.id] = X2.term_mask(p.vertices)
+            X2._walk(p, X2._slots)
+        return X2, z
+
+
+def _renamed(copy, TQ, z, edges):
+    """`copy` with its one terminal of TQ renamed to z, in `edges` too."""
+    hits = TQ.intersection(copy.vertices)
+    if len(hits) > 1:
+        raise ValueError("copy %d spans several terminals of the "
+                         "contracted component" % copy.id)
+    (t,) = hits
+    for eid in copy.edge_ids:
+        e = edges[eid]
+        if e.u == t:
+            edges[eid] = BlowupEdge(eid, z, e.v, e.cost, e.orig)
+        elif e.v == t:
+            edges[eid] = BlowupEdge(eid, e.u, z, e.cost, e.orig)
+    vertices = list(copy.vertices)
+    vertices.remove(t)
+    return BlowupCopy(copy.id, copy.edge_ids, vertices + [z], ("z", copy.shape, z))
+
+
+class _Remap(dict):
+    """Terminal mask of X -> terminal mask of (X - F)/Q, filled on first
+    use.  z is the largest vertex id, so it takes the top bit, and the
+    other terminals keep their order: m maps to
+    compress(m & ~tq) | [m & tq != 0] << (r2 - 1), where compress closes
+    the gaps the bits of tq leave."""
+
+    __slots__ = ("tq", "gaps", "top")
+
+    def __init__(self, tq, r2):
+        super().__init__()
+        self.tq = tq
+        self.gaps = [i for i in reversed(range(tq.bit_length())) if tq >> i & 1]
+        self.top = 1 << (r2 - 1)
+
+    def __missing__(self, m):
+        out = m & ~self.tq
+        for i in self.gaps:
+            out = out & ((1 << i) - 1) | out >> (i + 1) << i
+        if m & self.tq:
+            out |= self.top
+        self[m] = out
+        return out
+
+
+class _CarriedSlots(dict):
+    """`edge_slots` of a contracted graph: the pieces' entries are walked
+    on it, every other entry is read off the graph before it (`src`) and
+    remapped on first read.  The tree, copy id and ancestor edges of a
+    copy F left whole do not change, nor does its walk root."""
+
+    __slots__ = ("src", "remap")
+
+    def __init__(self, src, remap):
+        super().__init__()
+        self.src = src
+        self.remap = remap
+
+    def __missing__(self, eid):
+        cid, cm, below, ancestors = self.src[eid]
+        remap = self.remap
+        slot = self[eid] = (cid, remap[cm], remap[below], ancestors)
+        return slot
 
 
 class FractionalSolution:

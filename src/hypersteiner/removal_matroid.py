@@ -78,7 +78,7 @@ def greedy_max_weight_basis(M, w, order=None):
     masks = M._supersets.tolist()
     excess = X.slack_table()[M._supersets].tolist()
     tight = [S for S, x in zip(masks, excess) if x == 0]
-    cuts = {}  # copy index -> [(edge id, below mask)] of B's edges there
+    cuts = {}  # copy id -> [(edge id, below mask)] of B's edges there
     B = set()
     for e in order:
         if len(B) == M.full_rank:

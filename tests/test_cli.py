@@ -144,6 +144,18 @@ def test_bare_nodes_line_exit_2_without_traceback(tmp_path):
     assert proc.stderr.startswith("error: line 3: ")
 
 
+def test_k_does_not_lift_terminal_cap(tmp_path, capsys):
+    # 17 terminals: full-component enumeration refuses them whatever --k
+    p = tmp_path / "r17.stp"
+    p.write_text(render_stp(generate_random(17, 2, 0.3, seed=3)))
+    code = cli.main(["lp", str(p), "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: too many terminals for component enumeration: "
+                            "17 > cap 16; a component size bound (--k) does not "
+                            "lift the cap\n")
+
+
 def test_decompose_negative_remove_exit_2(stp_file, capsys):
     code = cli.main(["decompose", stp_file, "--remove", "-1", "--json"])
     captured = capsys.readouterr()

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hypersteiner.ratio import Rat, LN4_UPPER, lcm_denominators
-from hypersteiner.instance import SteinerInstance, generate_random
-from hypersteiner import contract_alg, hyperlp, oracles, splitting
+from hypersteiner.instance import SteinerInstance, edge_key, generate_random
+from hypersteiner import contract_alg, hyperlp, oracles, removal_matroid, splitting
 from hypersteiner.components import Component, enumerate_components
 
 from conftest import (frac_point, fractional_solution_n2,
@@ -106,6 +108,65 @@ def test_check_mode_catches_bad_subtree_mask(monkeypatch):
                        match=r"greedy basis for terminals \[1, 3\] has rank 2 < 3") as exc:
         contract_alg.run_from_solution(inst, sol, check=True)
     assert exc.value.details == {"terminals": [1, 3], "rank": 2, "full_rank": 3}
+
+
+def test_carried_data_matches_fresh_build(monkeypatch):
+    """A contracted graph carries the copy masks and edge slots of the
+    copies F left whole from the graph before, and the state their
+    costs.  On every graph of four frac-contract runs, check mode compares
+    them with the same graph built fresh (`_check_carried`), and the
+    greedy basis of every terminal group is the same on the carried slots
+    as on freshly walked ones."""
+    seen, checked = [], []
+    select, check = contract_alg.select_component, contract_alg._check_carried
+    monkeypatch.setattr(contract_alg, "select_component",
+                        lambda state: seen.append(state.split) or select(state))
+    monkeypatch.setattr(contract_alg, "_check_carried",
+                        lambda split: checked.append(split.X) or check(split))
+    for seed in range(4):
+        contract_alg.run_from_solution(*frac_point(seed), check=True)
+    assert {c.shape[0] for split in seen for c in split.X.copies} == {"c", "p", "z"}
+    # one check per step; every graph selected on but the four initial ones
+    assert len(checked) == len(seen)
+    assert sum(split.X in checked for split in seen) == len(seen) - 4
+    for split in seen:
+        X = split.X
+        order = removal_matroid.weight_order(split.K, split.w)
+        for m in contract_alg.terminal_groups(X.copies, X.copy_masks(), split.copy_cost):
+            T = X.mask_terms(m)
+            bases = [removal_matroid.greedy_max_weight_basis(
+                removal_matroid.RemovalMatroid(Y, T, groundset=split.K), split.w, order)
+                for Y in (X, X.fresh())]
+            assert bases[0] == bases[1]
+
+
+def test_check_mode_catches_drifted_carried_slot(monkeypatch):
+    """A carried edge slot whose subtree mask is wrong (here the whole
+    copy's mask, one side empty) is caught by check mode right after the
+    contraction that carried it, with the edge named in the details."""
+    inst, sol = mixed_hypertree_point(1, 3)
+    contract = hyperlp.BlowupGraph.contract
+    planted = []
+
+    def drifting(self, F, TQ):
+        X2, z = contract(self, F, TQ)
+        if not planted:
+            carried = [c for c in X2.copies if c.id in self.copy_masks()]
+            eid = carried[0].edge_ids[0]
+            cid, cm, below, ancestors = X2.edge_slots()[eid]
+            X2.edge_slots()[eid] = (cid, cm, cm, ancestors)
+            planted.append(eid)
+        return X2, z
+
+    monkeypatch.setattr(hyperlp.BlowupGraph, "contract", drifting)
+    with pytest.raises(contract_alg.InvariantViolation,
+                       match="carried slot of edge 2 diverged") as exc:
+        contract_alg.run_from_solution(inst, sol, check=True)
+    assert planted == [2]
+    details = exc.value.details
+    assert details["edge"] == 2
+    assert details["carried"][2] == [0, details["fresh"][1]]
+    assert details["fresh"][:2] == details["carried"][:2]
 
 
 def test_check_mode_recomputes_weights(monkeypatch):
@@ -254,3 +315,54 @@ def test_cost_scaling(source, seed, lam):
     for it, it_l in zip(cert["iterations"], cert_l["iterations"]):
         assert it_l == {k: lam * v if k in _LOG_COSTS else v
                         for k, v in it.items()}
+
+
+# ---- relabelling -------------------------------------------------------------
+
+
+def _relabelling(inst, rng):
+    """A random injective renaming of the vertices to ids in 1..4|V| that
+    gives the smallest id to a Steiner vertex: the terminals do not take
+    the smallest ids, and their order, hence their bit positions in every
+    mask, is shuffled."""
+    ids = sorted(rng.sample(range(1, 4 * len(inst.vertices) + 1), len(inst.vertices)))
+    steiner = sorted(inst.vertices - inst.terminals)
+    first = steiner[rng.randrange(len(steiner))]
+    rest = sorted(inst.vertices - {first})
+    rng.shuffle(rest)
+    return dict(zip([first] + rest, ids))
+
+
+def _relabelled(inst, sol, perm):
+    def key(e):
+        return edge_key(perm[e[0]], perm[e[1]])
+    inst2 = SteinerInstance([perm[v] for v in inst.vertices],
+                            {key(e): c for e, c in inst.costs.items()},
+                            [perm[t] for t in inst.terminals])
+    if sol is None:
+        return inst2, None
+    return inst2, hyperlp.FractionalSolution(
+        inst2.terminals, {Component([perm[t] for t in c.terminals],
+                                    [key(e) for e in c.edges], c.cost): v
+                          for c, v in sol.values.items()})
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["lp", "frac"]), st.integers(0, 400), st.randoms())
+@example("frac", 1, random.Random(0))
+def test_relabelling(source, seed, rng):
+    """Renaming the vertices, terminals off the smallest ids, keeps the
+    LP objective on small instances (|R| <= 4), and on frac-contract
+    points the N, Phi_initial and LP value of a run with check=True."""
+    if source == "lp":
+        inst = generate_random(3 + seed % 2, 1 + seed % 3, 0.5, seed=seed)
+        inst2, _ = _relabelled(inst, None, _relabelling(inst, rng))
+        assert (hyperlp.solve_lp_exact(inst2, enumerate_components(inst2)).objective
+                == hyperlp.solve_lp_exact(inst, enumerate_components(inst)).objective)
+        return
+    inst, sol = frac_point(seed)
+    inst2, sol2 = _relabelled(inst, sol, _relabelling(inst, rng))
+    _, cert = contract_alg.run_from_solution(inst, sol)
+    _, cert2 = contract_alg.run_from_solution(inst2, sol2, check=True)
+    for key in ("N", "phi_initial", "lp_value"):
+        assert cert2[key] == cert[key], key

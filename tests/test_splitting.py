@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersteiner.ratio import Rat, harmonic
+from hypersteiner.ratio import Rat, LN4_UPPER, harmonic
 from hypersteiner.instance import generate_random
 from hypersteiner.components import enumerate_components
-from hypersteiner import hyperlp, splitting, oracles
+from hypersteiner import contract_alg, hyperlp, splitting, oracles
 
 from conftest import frac_point, small_blowup, fractional_solution_n2
 
@@ -221,3 +221,28 @@ def test_map_back_prunes_random_splitting(seed):
     assert state.K == K
     assert state.witness == {e: frozenset(W) for e, W in witness.items()}
     assert state.potential == phi
+
+
+def test_map_back_prunes_on_frac_points(monkeypatch):
+    """The random rule on frac-contract points (8 terminals, Steiner
+    vertices of degree up to 6): map_back's pruning turns cleanup edges
+    core on some seeds, and the runs hold tree N <= Phi <= q N lp
+    exactly, with check=True.  The Phi bound holds for the random rule
+    in expectation; on these seeded runs it holds as computed."""
+    cuts = []
+    directions = splitting._terminal_directions
+
+    def counting(X, adj, u):
+        found = directions(X, adj, u)
+        cuts.append(max(len(found) - 1, 0))
+        return found
+
+    monkeypatch.setattr(splitting, "_terminal_directions", counting)
+    for seed in range(4):
+        inst, sol = frac_point(seed)
+        tree, cert = contract_alg.run_from_solution(inst, sol, strategy="random",
+                                                    seed=seed, check=True)
+        N, phi = cert["N"], cert["phi_initial"]
+        assert N > 1
+        assert tree.cost * N <= phi <= LN4_UPPER * N * cert["lp_value"]
+    assert sum(cuts) > 0
