@@ -16,11 +16,10 @@ iteration:
 The potential Phi = sum c(e) H(|W(e)|) drops by at least w(B^Q) per
 iteration, which telescopes to: output cost <= Phi_initial / N.
 
-A step touches only the copies it cuts and those holding a terminal of
-Q.  The contracted graph carries each other copy's terminal mask and
-edge slots (BlowupGraph.contract), and the state each copy's cost, so
-grouping the pieces by terminal set reads no copy's vertices or edges;
-check mode compares all of it with the graph built fresh
+A step walks only the copies it cuts.  The contracted graph carries
+each other copy's terminal mask and edge slots (BlowupGraph.contract),
+so grouping the pieces by terminal set reads no copy's vertices; check
+mode compares the carried data with the graph built fresh
 (`_check_carried`).
 
 The loop runs on the splitting state's integers (costs, weights and Phi
@@ -77,15 +76,17 @@ def _score_bound(top, N, T, cost):
     return top[min(N * (len(T) - 1), len(top) - 1)] - N * cost
 
 
-def terminal_groups(copies, masks, cost):
-    """Terminal mask -> (integer cost, copy) of the cheapest copy with
-    that mask, ties to the smaller copy id, over the copies with two
-    terminals or more; `masks` and `cost` map copy ids."""
+def terminal_groups(X, cost):
+    """Terminal mask -> (integer cost, copy) of the cheapest copy of X
+    with that mask, ties to the smaller copy id, over the copies with two
+    terminals or more; a copy's cost sums `cost` (edge id -> integer)
+    over its edges."""
     groups = {}
-    for copy in copies:
+    masks = X.copy_masks()
+    for copy in X.copies:
         m = masks[copy.id]
         if m & (m - 1):
-            c = cost[copy.id]
+            c = sum(cost[e] for e in copy.edge_ids)
             cur = groups.get(m)
             if cur is None or (c, copy.id) < (cur[0], cur[1].id):
                 groups[m] = (c, copy)
@@ -97,11 +98,11 @@ def select_component(state):
     copy id.
 
     Pieces are grouped by terminal set (the matroid only depends on it;
-    `terminal_groups`, on the masks and costs the graph and the state
-    carry); each group is represented by its cheapest copy, ties to the
-    smaller copy id.  Groups are visited in bound order and the greedy stops
-    being run once no group left can win (module docstring).  The
-    winning score is asserted nonnegative.  With check, the greedy also
+    `terminal_groups`, on the masks the graph carries and the state's
+    integer edge costs); each group is represented by its cheapest copy,
+    ties to the smaller copy id.  Groups are visited in bound order and
+    the greedy stops being run once no group left can win (module
+    docstring).  The winning score is asserted nonnegative.  With check, the greedy also
     runs on the groups the bound skipped and each score is asserted at
     most its bound, and each group's basis is ranked again on a full
     slack table."""
@@ -109,7 +110,7 @@ def select_component(state):
     X = split.X
     N, w = X.N, split.w
     groups = {X.mask_terms(m): group for m, group
-              in terminal_groups(X.copies, X.copy_masks(), split.copy_cost).items()}
+              in terminal_groups(X, split.scale.cost).items()}
     if not groups:
         raise InvariantViolation("no piece with two terminals but |R| > 1")
     order = weight_order(split.K, w)
@@ -224,7 +225,7 @@ def _check_carried(split):
     """The data contraction carries against the same graph built fresh:
     per edge the copy id, the copy's mask and the unordered pair of side
     masks (the walk root may differ), the slack table of X and the
-    terminal groups with their costs."""
+    terminal groups, costed on the state's integer edge costs."""
     X, Y = split.X, split.X.fresh()
     carried, fresh = X.edge_slots(), Y.edge_slots()
     for eid in sorted(X.edges):
@@ -241,9 +242,8 @@ def _check_carried(split):
                 {"edge": eid, "carried": got, "fresh": want})
     if X.slack_table().tolist() != Y.slack_table().tolist():
         raise InvariantViolation("carried slack table of X diverged")
-    cost = {c.id: sum(split.scale.cost[e] for e in c.edge_ids) for c in Y.copies}
-    groups = terminal_groups(X.copies, X.copy_masks(), split.copy_cost)
-    if groups != terminal_groups(Y.copies, Y.copy_masks(), cost):
+    cost = split.scale.cost
+    if terminal_groups(X, cost) != terminal_groups(Y, cost):
         raise InvariantViolation("carried terminal groups diverged")
 
 

@@ -29,9 +29,9 @@ copy), from which the two sides of its piece follow by mask arithmetic.
 Contraction carries this derived data.  A copy that F leaves whole is
 the same tree after (X - F)/Q, with at most one terminal renamed to z;
 only its terminal masks move to the new bit positions (`_Remap`).  So
-`contract` walks only the pieces F cuts, and the contracted graph reads
-every other copy's terminal mask and edge slots off the graph before it,
-remapped: the masks at once, the slots on first read.
+`contract` walks only the pieces F cuts, and the contracted graph takes
+every other copy's terminal mask and edge slots from the graph before it,
+remapped.
 """
 
 import functools
@@ -89,12 +89,12 @@ class BlowupGraph:
     contraction step, returns a new graph.
 
     Edge and copy ids are stable across it, so external bookkeeping
-    (splitting sets, witness sets, per-copy costs) survives.  Each graph
-    has three derived tables, built on first use or carried from the
-    graph it was contracted from: the terminal mask of every copy
-    (`copy_masks`), from which the slack table of X (`slack_table()`)
-    is summed, and the per-edge table of `edge_slots`, which the
-    removal-matroid greedy reads instead of slack tables.  `fresh`
+    (splitting sets, witness sets) survives.  Each graph has three
+    derived tables, built on first use or carried from the graph it was
+    contracted from: the terminal mask of every copy (`copy_masks`), from
+    which the slack table of X (`slack_table()`) is summed, and the
+    per-edge table of `edge_slots`, which the removal-matroid greedy
+    reads instead of slack tables.  `fresh`
     builds all three again, for check mode to compare against.
     """
 
@@ -181,8 +181,7 @@ class BlowupGraph:
         below the edge, frozenset of its ancestor edges), with each copy
         rooted where `_walk` first walked it: at its smallest vertex then
         (contraction may rename that vertex to z); built on first use, or
-        carried by `contract`.  A carried table fills in as edge ids are
-        read, so read it by edge id, not by iterating it.
+        carried by `contract`.
 
         Under a set C of the copy's edges removed, the piece holding an
         edge e outside C has the terminal mask: the copy's mask, AND
@@ -260,8 +259,9 @@ class BlowupGraph:
         not hold two (true after a basis removal).  Returns (graph, z).
 
         Only the pieces are walked for the new graph's edge slots and
-        masked; every other copy carries its terminal mask and slots over
-        through one `_Remap` (module docstring)."""
+        masked; every other copy carries its terminal mask and slots over,
+        remapped through one `_Remap` (module docstring).  The tree, copy
+        id, walk root and ancestor edges of such a copy do not change."""
         F, TQ = frozenset(F), frozenset(TQ)
         if len(TQ) < 2 or not TQ <= self.R:
             raise ValueError("need >= 2 existing terminals to contract")
@@ -290,9 +290,13 @@ class BlowupGraph:
         X2 = BlowupGraph(self.N, (self.R - TQ) | {z}, copies, edges,
                          z + 1, self._next_eid, cid)
         remap = _Remap(self.term_mask(TQ), len(X2.terminal_order))
-        masks = self.copy_masks()
+        masks, slots = self.copy_masks(), self.edge_slots()
         X2._masks = {c.id: remap[masks[c.id]] for c in carried}
-        X2._slots = _CarriedSlots(self.edge_slots(), remap)
+        X2._slots = {}
+        for c in carried:
+            for eid in c.edge_ids:
+                ci, cm, below, ancestors = slots[eid]
+                X2._slots[eid] = (ci, remap[cm], remap[below], ancestors)
         for p in pieces:
             X2._masks[p.id] = X2.term_mask(p.vertices)
             X2._walk(p, X2._slots)
@@ -340,26 +344,6 @@ class _Remap(dict):
             out |= self.top
         self[m] = out
         return out
-
-
-class _CarriedSlots(dict):
-    """`edge_slots` of a contracted graph: the pieces' entries are walked
-    on it, every other entry is read off the graph before it (`src`) and
-    remapped on first read.  The tree, copy id and ancestor edges of a
-    copy F left whole do not change, nor does its walk root."""
-
-    __slots__ = ("src", "remap")
-
-    def __init__(self, src, remap):
-        super().__init__()
-        self.src = src
-        self.remap = remap
-
-    def __missing__(self, eid):
-        cid, cm, below, ancestors = self.src[eid]
-        remap = self.remap
-        slot = self[eid] = (cid, remap[cm], remap[below], ancestors)
-        return slot
 
 
 class FractionalSolution:

@@ -42,18 +42,11 @@ class UnionFind:
         return v
 
     def union(self, u, v):
-        """Merge the sets of u and v; False when they were already one.
-        find is inlined: slack tables call this once per blowup edge."""
-        parent = self.parent
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
+        """Merge the sets of u and v; False when they were already one."""
+        u, v = self.find(u), self.find(v)
         if u == v:
             return False
-        parent[u] = v
+        self.parent[u] = v
         return True
 
 

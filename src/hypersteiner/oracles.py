@@ -233,7 +233,7 @@ def add_component_slack_ok(X, terminals, B):
 def removal_bases(M):
     """All bases of a RemovalMatroid, by brute force over its ground set."""
     k = M.full_rank
-    return [frozenset(B) for B in itertools.combinations(M.groundset, k)
+    return [frozenset(B) for B in itertools.combinations(sorted(M.groundset), k)
             if M.rank(frozenset(B)) == k]
 
 

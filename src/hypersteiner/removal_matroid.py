@@ -34,20 +34,19 @@ class RemovalMatroid:
         self.Q = frozenset(Q)
         if not (self.Q and self.Q <= X.R):
             raise ValueError("Q must be a nonempty terminal subset")
-        self.groundset = tuple(sorted(X.edges if groundset is None else groundset))
-        self._ground = frozenset(self.groundset)
+        self.groundset = frozenset(X.edges if groundset is None else groundset)
         self.full_rank = X.N * (len(self.Q) - 1)
-        self._supersets = X.superset_masks(self.Q)
+        self.supersets = X.superset_masks(self.Q)
 
     def rank(self, F):
         F = frozenset(F)
-        if not F <= self._ground:
+        if not F <= self.groundset:
             raise ValueError("F outside the ground set")
         return self.table_rank(self.X.slack_table(F))
 
     def table_rank(self, h):
         """r_Q(F) read off h, the slack table of X - F."""
-        return int(h[self._supersets].min())
+        return int(h[self.supersets].min())
 
 
 def weight_order(edges, w):
@@ -75,8 +74,8 @@ def greedy_max_weight_basis(M, w, order=None):
         order = weight_order(M.groundset, w)
     slots = X.edge_slots()
     q = X.term_mask(M.Q)
-    masks = M._supersets.tolist()
-    excess = X.slack_table()[M._supersets].tolist()
+    masks = M.supersets.tolist()
+    excess = X.slack_table()[M.supersets].tolist()
     tight = [S for S, x in zip(masks, excess) if x == 0]
     cuts = {}  # copy id -> [(edge id, below mask)] of B's edges there
     B = set()

@@ -76,21 +76,16 @@ class SplittingState:
 
     `w` (core id -> integer) and `phi` are the weights and Phi times
     scale.D, for a Scale whose m bounds every |W(f)|; `weights` and
-    `potential` are the same as exact rationals.  `copy_cost` (copy id
-    -> integer) is each copy's cost times scale.D; the costs of the
-    copies in `carried_costs` are taken from it, the others summed."""
+    `potential` are the same as exact rationals."""
 
-    __slots__ = ("X", "K", "witness", "scale", "w", "phi", "copy_cost")
+    __slots__ = ("X", "K", "witness", "scale", "w", "phi")
 
-    def __init__(self, X, K, witness, scale, carried_costs=None):
+    def __init__(self, X, K, witness, scale):
         self.X = X
         self.K = frozenset(K)
         self.witness = dict(witness)   # cleanup edge id -> frozenset of core ids
         self.scale = scale
         cost = scale.cost
-        carried_costs = carried_costs or {}
-        self.copy_cost = {c.id: carried_costs[c.id] if c.id in carried_costs
-                          else sum(cost[e] for e in c.edge_ids) for c in X.copies}
         self.w = core_weights(cost, self.K, self.witness)
         # Phi = sum over the edges of X of c(e) H(|W(e)|), |W(e)| = 1 on K;
         # c(f) D H(k) = (c(f) D / lcm(1..m)) (lcm(1..m) H(k))
@@ -116,7 +111,7 @@ class SplittingState:
                 witness[f] = W - B
                 if not witness[f]:
                     raise SplittingError("cleanup edge %d lost all witnesses" % f)
-        return SplittingState(X2, self.K - B, witness, self.scale, self.copy_cost)
+        return SplittingState(X2, self.K - B, witness, self.scale)
 
 
 # ---- witnesses and weights ----------------------------------------------

@@ -112,11 +112,11 @@ def test_check_mode_catches_bad_subtree_mask(monkeypatch):
 
 def test_carried_data_matches_fresh_build(monkeypatch):
     """A contracted graph carries the copy masks and edge slots of the
-    copies F left whole from the graph before, and the state their
-    costs.  On every graph of four frac-contract runs, check mode compares
-    them with the same graph built fresh (`_check_carried`), and the
-    greedy basis of every terminal group is the same on the carried slots
-    as on freshly walked ones."""
+    copies F left whole from the graph before.  On every graph of four
+    frac-contract runs, check mode compares them with the same graph
+    built fresh (`_check_carried`), and the greedy basis of every
+    terminal group is the same on the carried slots as on freshly walked
+    ones."""
     seen, checked = [], []
     select, check = contract_alg.select_component, contract_alg._check_carried
     monkeypatch.setattr(contract_alg, "select_component",
@@ -132,12 +132,46 @@ def test_carried_data_matches_fresh_build(monkeypatch):
     for split in seen:
         X = split.X
         order = removal_matroid.weight_order(split.K, split.w)
-        for m in contract_alg.terminal_groups(X.copies, X.copy_masks(), split.copy_cost):
+        for m in contract_alg.terminal_groups(X, split.scale.cost):
             T = X.mask_terms(m)
             bases = [removal_matroid.greedy_max_weight_basis(
                 removal_matroid.RemovalMatroid(Y, T, groundset=split.K), split.w, order)
                 for Y in (X, X.fresh())]
             assert bases[0] == bases[1]
+
+
+def test_carried_slots_cover_every_edge(monkeypatch):
+    """Without check mode, which reads every slot, each graph of four
+    frac-contract runs holds exactly one edge slot per edge, and each
+    matches a fresh walk as `_check_carried` compares them: copy id, copy
+    mask and the unordered pair of side masks."""
+    graphs = []
+    blowup, contract = contract_alg.blowup_from_solution, hyperlp.BlowupGraph.contract
+
+    def kept_blowup(inst, sol):
+        graphs.append(blowup(inst, sol))
+        return graphs[-1]
+
+    def kept_contract(X, F, TQ):
+        X2, z = contract(X, F, TQ)
+        graphs.append(X2)
+        return X2, z
+
+    monkeypatch.setattr(contract_alg, "blowup_from_solution", kept_blowup)
+    monkeypatch.setattr(hyperlp.BlowupGraph, "contract", kept_contract)
+    for seed in range(4):
+        contract_alg.run_from_solution(*frac_point(seed))
+    assert len(graphs) > 8 and sum(len(X.R) == 1 for X in graphs) == 4
+
+    def summary(slot):
+        cid, cm, below, _ = slot
+        return [cid, cm, sorted((below, cm & ~below))]
+
+    for X in graphs:
+        slots, fresh = X.edge_slots(), X.fresh().edge_slots()
+        assert slots.keys() == X.edges.keys()
+        for eid in X.edges:
+            assert summary(slots[eid]) == summary(fresh[eid])
 
 
 def test_check_mode_catches_drifted_carried_slot(monkeypatch):

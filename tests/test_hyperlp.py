@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat
-from hypersteiner.instance import generate_random
+from hypersteiner.instance import UnionFind, generate_random
 from hypersteiner.components import enumerate_components
 from hypersteiner import hyperlp
 
@@ -110,6 +110,28 @@ def test_contract_keeps_ids_and_shapes():
     # removing every edge leaves no copy and an infeasible graph
     X3, _ = X.contract(X.edges, {1, 2})
     assert X3.copies == [] and not X3.is_feasible()
+
+
+def test_union_find_direction_orders_pieces():
+    uf = UnionFind(range(6))
+    # union(u, v) hangs u's root under v's root
+    assert uf.union(0, 1) and uf.parent[0] == 1 and uf.parent[1] == 1
+    assert uf.union(1, 2) and uf.union(2, 3) and uf.union(4, 5)
+    assert uf.parent == {0: 1, 1: 2, 2: 3, 3: 3, 4: 5, 5: 5}
+    # path halving points 0 at its grandparent; one root per class
+    assert uf.find(0) == 3 and uf.parent[0] == 2
+    assert {uf.find(v) for v in range(4)} == {3}
+    assert {uf.find(v) for v in (4, 5)} == {5}
+    assert not uf.union(0, 3) and not uf.union(2, 1) and not uf.union(5, 4)
+    assert {uf.find(v) for v in range(6)} == {3, 5}
+    # the copy 0 - 9 - 1 - 2 without its middle edge splits into {0, 9},
+    # whose root is 9, and {1, 2}, whose root is 2: pieces follow the roots
+    E = {0: hyperlp.BlowupEdge(0, 0, 9, Rat(1)),
+         1: hyperlp.BlowupEdge(1, 9, 1, Rat(1)),
+         2: hyperlp.BlowupEdge(2, 1, 2, Rat(1))}
+    copy = hyperlp.BlowupCopy(0, [0, 1, 2], [0, 1, 2, 9], ("path", 0))
+    X = hyperlp.BlowupGraph(1, [0, 2], [copy], E, 10, 3, 1)
+    assert X.copy_pieces(copy, {1}) == [((1, 2), (2,)), ((0, 9), (0,))]
 
 
 def test_contract_refuses_two_tq_terminals(frac_n2):
