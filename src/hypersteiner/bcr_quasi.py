@@ -24,7 +24,7 @@ facts are asserted, not assumed.
 from .ratio import Rat, R0, R1
 from .instance import SteinerInstance, edge_key
 from .components import Component
-from .hyperlp import FractionalSolution
+from .hyperlp import FractionalSolution, blowup_from_solution
 from .simplexq import solve_lp
 from .sepflow import FlowNet
 
@@ -269,7 +269,7 @@ def natural_decomposition(sol, check=False):
         raise DecompositionError("positive capacity left outside all stars",
                                  {"x": sol.x})
     out = FractionalSolution(R, weights)
-    if not out.check_feasible():
+    if not blowup_from_solution(inst, out).is_feasible():
         raise DecompositionError("decomposed point infeasible for the component LP")
     if out.objective != obj0:
         raise DecompositionError("decomposed objective differs from BCR objective",

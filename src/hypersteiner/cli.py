@@ -272,7 +272,7 @@ def _verify_bcr(seed):
     if b.objective != lp.objective:
         return False
     dec = bcr_quasi.natural_decomposition(b)
-    return dec.objective == b.objective and dec.check_feasible()
+    return dec.objective == b.objective and oracles.check_feasible(dec)
 
 
 def _verify_splitting(seed):

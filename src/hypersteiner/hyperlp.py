@@ -35,12 +35,11 @@ remapped.
 """
 
 import functools
-import itertools
 from collections import Counter
 
 import numpy as np
 
-from .ratio import Rat, R0, lcm_denominators
+from .ratio import Rat, R0, lcm_denominators, scaled
 from .instance import UnionFind, orient
 
 TABLE_TERMINAL_CAP = 16
@@ -359,24 +358,11 @@ class FractionalSolution:
                 raise ValueError("negative component value")
         self.objective = sum((c.cost * v for c, v in self.values.items()), R0)
 
-    def check_feasible(self):
-        """Brute-force feasibility over all terminal subsets."""
-        R = sorted(self.terminals)
-        for size in range(2, len(R) + 1):
-            for S in itertools.combinations(R, size):
-                Sf = frozenset(S)
-                load = sum((v * max(len(c.terminals & Sf) - 1, 0)
-                            for c, v in self.values.items()), R0)
-                if load > len(S) - 1:
-                    return False
-        total = sum((v * (len(c.terminals) - 1) for c, v in self.values.items()), R0)
-        return total == len(R) - 1
-
 
 def blowup_from_solution(instance, solution):
     """BlowupGraph of a fractional solution, edge costs taken from the
     instance the components were enumerated on."""
-    N = lcm_denominators(list(solution.values.values()) or [Rat(1)])
+    N = lcm_denominators(solution.values.values())
     R = frozenset(solution.terminals)
     used = set(R)
     for comp in solution.values:
@@ -387,9 +373,7 @@ def blowup_from_solution(instance, solution):
     copies = []
     edges = {}
     for comp in sorted(solution.values, key=lambda c: (sorted(c.terminals), c.edges)):
-        mult = solution.values[comp] * N
-        assert Rat(mult).denominator == 1, "lcm of denominators failed"
-        for _ in range(int(mult)):
+        for _ in range(scaled(solution.values[comp], N)):
             vmap = {t: t for t in comp.terminals}
             vs = set(comp.terminals)
             e_ids = []

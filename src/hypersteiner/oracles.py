@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ratio import Rat, R0
-from .instance import edge_key, orient, SteinerTree
+from .instance import edge_key, orient, SteinerTree, UnionFind
 from .hyperlp import pcm1_table
 from .removal_matroid import RemovalMatroid
 from .sepflow import FlowNet, INF
@@ -103,6 +103,21 @@ def exhaustive_steiner_cost(inst, max_edges=18):
             if best is None or t.cost < best:
                 best = t.cost
     return best
+
+
+def check_feasible(solution):
+    """Feasibility of a FractionalSolution for the component LP, by brute
+    force over all terminal subsets."""
+    R = sorted(solution.terminals)
+    for size in range(2, len(R) + 1):
+        for S in itertools.combinations(R, size):
+            Sf = frozenset(S)
+            load = sum((v * max(len(c.terminals & Sf) - 1, 0)
+                        for c, v in solution.values.items()), R0)
+            if load > len(S) - 1:
+                return False
+    total = sum((v * (len(c.terminals) - 1) for c, v in solution.values.items()), R0)
+    return total == len(R) - 1
 
 
 def spanning_tree_count(vertices, edges):
@@ -194,29 +209,15 @@ def _valid_cleanup_forest(X, copy, keep):
     """keep = candidate complement (cleanup) edge set of one copy: must be a
     forest covering all non-terminals, each piece holding exactly one
     terminal."""
-    nodes = set(copy.vertices)
-    parent = {v: v for v in nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    uf = UnionFind(copy.vertices)
     for eid in keep:
         e = X.edges[eid]
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
+        if not uf.union(e.u, e.v):
             return False  # cycle
-        parent[ru] = rv
     groups = {}
-    for v in nodes:
-        groups.setdefault(find(v), []).append(v)
-    terminals = X.R
-    for g in groups.values():
-        if sum(1 for v in g if v in terminals) != 1:
-            return False
-    return True
+    for v in copy.vertices:
+        groups.setdefault(uf.find(v), []).append(v)
+    return all(sum(1 for v in g if v in X.R) == 1 for g in groups.values())
 
 
 def add_component_slack_ok(X, terminals, B):

@@ -29,10 +29,10 @@ def harmonic(n):
 
 
 def lcm_denominators(values):
-    """lcm of the denominators of an iterable of rationals (>= 1)."""
+    """lcm of the denominators of an iterable of ints and Rats (>= 1)."""
     n = 1
     for v in values:
-        n = math.lcm(n, int(Rat(v).denominator))
+        n = math.lcm(n, v.denominator)
     return n
 
 

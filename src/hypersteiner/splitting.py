@@ -27,13 +27,14 @@ A SplittingState holds K, its witnesses, weights and potential; the
 contraction loop carries one, shrinking it after each step
 (SplittingState.contracted).  It computes on integers: with one Scale
 D = L * lcm(1..m), L the lcm of the edge-cost denominators and m the
-largest |W(f)| of the state it was made for, every c(e), every share
-c(f)/|W(f)|, every w(e) and Phi is an integer multiple of 1/D, and the
-state holds those integers.  Witness sets only shrink under
-contraction, so the contracted states keep the same D.  Exact Fractions come back only at the boundary: the
-`weights` and `potential` properties (the iteration log, the
-certificate, the CLI).  The DP likewise runs on integers, scaled per
-copy by L * lcm(1..|E(copy)|).  Every division on the way asserts a
+largest edge count of any copy, every c(e), every share c(f)/|W(f)|,
+every w(e) and Phi is an integer multiple of 1/D, and the state holds
+those integers.  The DP runs on the same Scale, so its optimum is the
+state's Phi times D, and optimal_splitting_set asserts that it is.
+Copies and witness sets only shrink under contraction, so the
+contracted states keep the same D.  Exact Fractions come back only at
+the boundary: the `weights` and `potential` properties (the iteration
+log, the certificate, the CLI).  Every division on the way asserts a
 zero remainder.
 
 Every walk over a copy is one `instance.orient` over the copy's
@@ -57,13 +58,16 @@ class SplittingError(ValueError):
 
 
 class Scale:
-    """D = L * lcm(1..m) for the edges of X and witness sets of size at
-    most m, with each edge's cost times D (`cost`, by edge id) and
-    lcm(1..m) * H(k) for k <= m (`harmonics`), all integers."""
+    """D = L * lcm(1..m) for the edges of X, L the lcm of their cost
+    denominators and m the largest edge count of any copy, which bounds
+    every |W(f)| and every DP table index; with each edge's cost times D
+    (`cost`, by edge id) and lcm(1..m) * H(k) for k <= m (`harmonics`),
+    all integers."""
 
     __slots__ = ("D", "lcm_m", "cost", "harmonics")
 
-    def __init__(self, X, m):
+    def __init__(self, X):
+        m = max((len(c.edge_ids) for c in X.copies), default=0)
         self.lcm_m = math.lcm(*range(1, m + 1))
         self.D = lcm_denominators(e.cost for e in X.edges.values()) * self.lcm_m
         self.cost = {eid: scaled(e.cost, self.D) for eid, e in X.edges.items()}
@@ -75,8 +79,9 @@ class SplittingState:
     to one blowup graph; computed once, carried through contraction.
 
     `w` (core id -> integer) and `phi` are the weights and Phi times
-    scale.D, for a Scale whose m bounds every |W(f)|; `weights` and
-    `potential` are the same as exact rationals."""
+    scale.D, for the Scale of the blowup graph the first state was
+    made for; `weights` and `potential` are the same as exact
+    rationals."""
 
     __slots__ = ("X", "K", "witness", "scale", "w", "phi")
 
@@ -119,13 +124,17 @@ class SplittingState:
 
 def compute_witnesses_and_weights(X, K):
     """Validate K as a splitting set and build witness sets and weights."""
+    return _state(X, K, Scale(X))
+
+
+def _state(X, K, scale):
+    """compute_witnesses_and_weights on a given Scale of X."""
     K = frozenset(K)
     if not K <= set(X.edges):
         raise SplittingError("K contains unknown edges")
     witness = {}
     for copy in X.copies:
         _copy_witnesses(X, copy, K, witness)
-    scale = Scale(X, max(map(len, witness.values()), default=0))
     state = SplittingState(X, K, witness, scale)
     assert sum(state.w.values()) == sum(state.scale.cost.values()), \
         "weight conservation failed"
@@ -206,7 +215,7 @@ def quasi_bipartite_splitting_set(X):
     for copy in X.copies:
         _require_star(X, copy)
     state = optimal_splitting_set(X)
-    assert 60 * state.potential <= 73 * X.total_cost(), \
+    assert 60 * state.phi <= 73 * sum(state.scale.cost.values()), \
         "quasi-bipartite bound violated"
     return state
 
@@ -321,18 +330,6 @@ def _random_copy(X, copy, rng):
 # ---- exact DP ------------------------------------------------------------
 
 
-class _Entry:
-    __slots__ = ("val", "info")
-
-    def __init__(self, val, info):
-        self.val = val
-        self.info = info  # ("base",) | ("ext", eid, kind, child) | ("merge", a, b)
-
-
-def _better(cur, cand):
-    return cur is None or cand.val < cur.val
-
-
 def optimal_splitting_set(X):
     """Minimum-potential splitting set by per-copy dynamic programming.
 
@@ -345,28 +342,30 @@ def optimal_splitting_set(X):
     terminal yet) indexed by the number of inside core edges incident to
     the root's piece.  Value ties keep the first candidate in a fixed
     deterministic scan order (extensions before merges, smaller indices
-    first).  Values are integers: Phi times L * lcm(1..|E(copy)|), with L
-    the lcm of the cost denominators of X, so c(e) H(a) is an integer for
-    every a the tables index."""
+    first).  Values are integers on the one Scale of X, which the state
+    is built on too: each copy's optimum is its share of Phi times D, so
+    the optima of all copies (a copy whose shape the memo already holds
+    counts again) sum to the state's `phi`, and that is asserted."""
+    scale = Scale(X)
     K = set()
     memo = {}
-    L = lcm_denominators(e.cost for e in X.edges.values())
+    phi = 0
     for copy in X.copies:
-        key = copy.shape
-        if key in memo:
-            pattern = memo[key]
-        else:
-            pattern = _dp_copy(X, copy, L)
-            memo[key] = pattern
-        # pattern: set of positions (indices into copy.edge_ids) that are core
-        K.update(copy.edge_ids[i] for i in pattern)
-    return compute_witnesses_and_weights(X, K)
+        if copy.shape not in memo:
+            memo[copy.shape] = _dp_copy(X, copy, scale)
+        value, cleanup = memo[copy.shape]
+        phi += value
+        K.update(e for i, e in enumerate(copy.edge_ids) if not cleanup >> i & 1)
+    state = _state(X, K, scale)
+    assert state.phi == phi, \
+        "DP optimum %d differs from the state's Phi %d" % (phi, state.phi)
+    return state
 
 
-def _dp_copy(X, copy, L):
-    """Core positions of a minimum-potential splitting set of one copy,
-    rooted at its smallest terminal; L is a common denominator of the
-    copy's costs."""
+def _dp_copy(X, copy, scale):
+    """(Phi of the copy times scale.D, cleanup bitmask over positions in
+    copy.edge_ids) of a minimum-potential splitting set of one copy,
+    rooted at its smallest terminal."""
     adj = X.adjacency(copy.vertices, copy.edge_ids)
     terms = sorted(X.copy_terminals(copy))
     if not terms:
@@ -377,97 +376,75 @@ def _dp_copy(X, copy, L):
                                  % (t, copy.id))
     children = _children(adj, terms[:1])
     M = len(copy.edge_ids)
-    pos = {eid: i for i, eid in enumerate(copy.edge_ids)}
-    lcm_m = math.lcm(*range(1, M + 1))
-    cost = {eid: scaled(X.edges[eid].cost, L) for eid in copy.edge_ids}
-    hs = [scaled(harmonic(a), lcm_m) for a in range(M + 1)]
+    bit = {eid: 1 << i for i, eid in enumerate(copy.edge_ids)}
 
-    def tables(v):
-        """(A, B) tables for the partial tree = v plus everything below."""
-        if v in X.R:
-            base_e = _Entry(0, ("base",))
-            return {a: base_e for a in range(M + 1)}, {}
-        A, B = {}, {0: _Entry(0, ("base",))}
-        for (u, eid) in children[v]:
-            A2, B2 = _extend(cost[eid], hs, eid, *tables(u), M)
-            A, B = _merge(A, B, A2, B2, M)
-        return A, B
+    def extended(u, eid):
+        """(A, B) tables for the edge eid from u's parent to u, with u's
+        partial tree = u plus everything below."""
+        if u in X.R:
+            A, B = dict.fromkeys(range(M + 1), (0, 0)), {}
+        else:
+            A, B = {}, {0: (0, 0)}
+            for (w, f) in children[u]:
+                A, B = _merge(A, B, *extended(w, f), M)
+        # c(e) D H(a) = (c(e) D / lcm(1..m)) (lcm(1..m) H(a))
+        c = exact_div(scale.cost[eid], scale.lcm_m)
+        return _extend(c, scale.harmonics, bit[eid], A, B, M)
 
     # the root terminal closes the piece of its one edge: every type-B
     # extension over that edge (core over a child side that sees it as
     # its one outside core edge, or cleanup over a terminal-less child
     # piece) is complete; ties go to the smaller index
     [(u, eid)] = children[terms[0]]
-    _, B = _extend(cost[eid], hs, eid, *tables(u), M)
+    _, B = extended(u, eid)
     if not B:
         raise SplittingError("copy %d admits no splitting set" % copy.id)
-    best = B[min(B, key=lambda b: (B[b].val, b))]
-    cleanup = set()
-
-    def collect(entry):
-        info = entry.info
-        if info[0] == "base":
-            return
-        if info[0] == "merge":
-            collect(info[1])
-            collect(info[2])
-            return
-        _, eid, kind, child = info
-        if kind == "clean":
-            cleanup.add(eid)
-        collect(child)
-
-    collect(best)
-    return {pos[eid] for eid in copy.edge_ids if eid not in cleanup}
+    return B[min(B, key=lambda b: (B[b][0], b))]
 
 
-def _extend(c, hs, eid, Au, Bu, M):
+def _keep(T, k, value, cleanup):
+    """Enter (value, cleanup) at T[k] unless T[k] is no more expensive."""
+    cur = T.get(k)
+    if cur is None or value < cur[0]:
+        T[k] = (value, cleanup)
+
+
+def _extend(c, hs, bit, Au, Bu, M):
     """Tables for the tree consisting of a non-terminal v, the edge
-    eid = (v, u) of scaled cost c, and u's partial tree; hs[a] is H(a)
-    on the matching scale."""
+    (v, u) with cleanup bit `bit` and scaled cost c, and u's partial
+    tree; c * hs[a] is the edge's cost times H(a) on the tables' scale."""
     A2, B2 = {}, {}
     # core edge: the child side must already own a terminal and sees
     # exactly this one outside core edge
-    ch = Au.get(1)
-    if ch is not None:
-        B2[1] = _Entry(ch.val + c * hs[1], ("ext", eid, "core", ch))
+    if 1 in Au:
+        value, cleanup = Au[1]
+        B2[1] = (value + c * hs[1], cleanup)
     # cleanup edge continuing the child's terminal piece up to v
-    for a in range(1, M + 1):
-        ch = Au.get(a)
-        if ch is not None:
-            A2[a] = _Entry(ch.val + c * hs[a], ("ext", eid, "clean", ch))
+    for a, (value, cleanup) in Au.items():
+        if a >= 1:
+            A2[a] = (value + c * hs[a], cleanup | bit)
     # cleanup edge over a terminal-less child piece
-    for b, ch in sorted(Bu.items()):
+    for b, (value, cleanup) in sorted(Bu.items()):
         if b >= 1:
-            cand = _Entry(ch.val + c * hs[b], ("ext", eid, "clean", ch))
-            if _better(B2.get(b), cand):
-                B2[b] = cand
+            _keep(B2, b, value + c * hs[b], cleanup | bit)
     return A2, B2
 
 
 def _merge(A1, B1, A2, B2, M):
     """Combine two partial trees sharing only their non-terminal root."""
     A, B = {}, {}
-    for a1, e1 in sorted(A1.items()):
-        for b2, e2 in sorted(B2.items()):
-            a = a1 - b2
-            if 0 <= a <= M:
-                cand = _Entry(e1.val + e2.val, ("merge", e1, e2))
-                if _better(A.get(a), cand):
-                    A[a] = cand
-    for b1, e1 in sorted(B1.items()):
-        for a2, e2 in sorted(A2.items()):
-            a = a2 - b1
-            if 0 <= a <= M:
-                cand = _Entry(e1.val + e2.val, ("merge", e1, e2))
-                if _better(A.get(a), cand):
-                    A[a] = cand
-    for b1, e1 in sorted(B1.items()):
-        for b2, e2 in sorted(B2.items()):
+    for a1, (v1, f1) in sorted(A1.items()):
+        for b2, (v2, f2) in sorted(B2.items()):
+            if 0 <= a1 - b2 <= M:
+                _keep(A, a1 - b2, v1 + v2, f1 | f2)
+    for b1, (v1, f1) in sorted(B1.items()):
+        for a2, (v2, f2) in sorted(A2.items()):
+            if 0 <= a2 - b1 <= M:
+                _keep(A, a2 - b1, v1 + v2, f1 | f2)
+    for b1, (v1, f1) in sorted(B1.items()):
+        for b2, (v2, f2) in sorted(B2.items()):
             if b1 + b2 <= M:
-                cand = _Entry(e1.val + e2.val, ("merge", e1, e2))
-                if _better(B.get(b1 + b2), cand):
-                    B[b1 + b2] = cand
+                _keep(B, b1 + b2, v1 + v2, f1 | f2)
     return A, B
 
 

@@ -40,7 +40,7 @@ def test_run_above_full_enum_cap():
     inst = generate_random(13, 3, 0.45, seed=1)
     assert len(inst.terminals) > hyperlp.FULL_ENUM_CAP
     sol = hyperlp.solve_lp_exact(inst, enumerate_components(inst))
-    assert sol.check_feasible()
+    assert oracles.check_feasible(sol)
     tree, cert = contract_alg.run_from_solution(inst, sol, check=True)
     assert cert["lp_value"] == sol.objective
     assert tree.cost <= cert["phi_over_N"] <= LN4_UPPER * sol.objective

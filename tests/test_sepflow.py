@@ -66,7 +66,7 @@ def test_violation_found_when_component_overweight():
     comp = max(vals, key=lambda c: len(c.terminals))
     vals[comp] = vals[comp] * 2
     bad = hyperlp.FractionalSolution(sol.terminals, vals)
-    assert not bad.check_feasible()
+    assert not oracles.check_feasible(bad)
     X = hyperlp.blowup_from_solution(inst, bad)
     mask = sepflow.most_violated_mask(X)
     assert mask is not None

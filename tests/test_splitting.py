@@ -61,6 +61,22 @@ def test_dp_matches_exhaustive_on_frac_copies():
     assert checked >= 60
 
 
+def test_dp_optimum_checked_against_phi(monkeypatch):
+    # the DP's per-copy optima must sum to the Phi of the state built from
+    # its K: optima reported one unit too expensive trip the check
+    inst, sol = frac_point(0)
+    X = hyperlp.blowup_from_solution(inst, sol)
+    dp_copy = splitting._dp_copy
+
+    def one_unit_more(X, copy, scale):
+        value, cleanup = dp_copy(X, copy, scale)
+        return value + 1, cleanup
+
+    monkeypatch.setattr(splitting, "_dp_copy", one_unit_more)
+    with pytest.raises(AssertionError, match="DP optimum"):
+        splitting.optimal_splitting_set(X)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_random_splitting_valid(seed):
