@@ -24,23 +24,34 @@ mode compares the carried data with the graph built fresh
 
 The loop runs on the splitting state's integers (costs, weights and Phi
 times its scale D).  A piece's score is the integer
-w(B^Q) - N cost(Q), N D times the rational score, and its bound is the
-sum of the N(|T|-1) largest weights of K minus N cost(Q): a basis of
-the matroid of a terminal set T has N(|T|-1) elements of K.  Pieces are
-visited by bound descending, then copy id ascending, and the visit stops
-at the first piece whose (bound, -id) is at most (best score, -best id),
-since no later piece can beat the best on (score, -id).  So the greedy
-runs only where it can win, and the winner is the one an ascending-id
-scan keeping the first maximum would pick.  The iteration log and the
-certificate carry exact Fractions, converted at that boundary.
+w(B^Q) - N cost(Q), N D times the rational score.  A basis of the
+matroid of a terminal set T has N(|T|-1) elements of K, and it takes at
+most (|S_T cap P| - 1)+ of them from each copy P, where S_T is the tight
+closure of T: the least S >= T with h(S) = 0 on X (the tight sets of X
+are closed under intersection; `removal_matroid`).  Proof: an
+independent I has r(I cap E(P)) = |I cap E(P)| <= h_{X - I cap E(P)}(S_T)
+<= h_X(S_T) + (|S_T cap P| - 1)+ = (|S_T cap P| - 1)+, since cutting P
+changes no other term.  So the piece's bound is the sum of the N(|T|-1)
+largest weights of K taking at most that many from each copy
+(`_CappedTops`, shared by the terminal sets with the same closure),
+minus N cost(Q).  Pieces are visited by bound descending, then copy id
+ascending, and the visit stops at the first piece whose (bound, -id) is
+at most (best score, -best id), since no later piece can beat the best
+on (score, -id).  So the greedy runs only where it can win, and the
+winner is the one an ascending-id scan keeping the first maximum would
+pick.  The iteration log and the certificate carry exact Fractions,
+converted at that boundary.
 """
 
-from itertools import accumulate
+from functools import reduce
+from operator import and_
+
+import numpy as np
 
 from .ratio import Rat, R0, harmonic
 from .instance import SteinerTree, UnionFind
 from .components import enumerate_components
-from .hyperlp import solve_lp_exact, blowup_from_solution
+from .hyperlp import solve_lp_exact, blowup_from_solution, pcm1_table
 from . import splitting as _split
 from .removal_matroid import RemovalMatroid, greedy_max_weight_basis, weight_order
 
@@ -70,10 +81,58 @@ class AlgorithmState:
         return len(self.split.X.R) <= 1
 
 
-def _score_bound(top, N, T, cost):
-    """Upper bound on the integer score of a piece with terminals T and
-    integer cost: top[k] is the sum of the k largest weights of K."""
-    return top[min(N * (len(T) - 1), len(top) - 1)] - N * cost
+def _score_bound(top, N, T, S, cost):
+    """Upper bound on the integer score of a piece with terminals T,
+    tight closure S and integer cost: `top` (a `_CappedTops`) sums the
+    N(|T|-1) largest weights of K under the caps of S (module
+    docstring)."""
+    return top[S, N * (len(T) - 1)] - N * cost
+
+
+class _CappedTops(dict):
+    """(S, k) -> the sum of the k largest weights of K taken with at most
+    (|S cap P| - 1)+ edges from each copy P, filled on first use; with
+    fewer edges allowed than k, the sum of them all.  Built once per step
+    from K in weight order (`order`): per edge, its copy's terminal mask
+    and its rank among its copy's edges (`BlowupGraph.edge_slots`), so
+    that an edge is allowed iff its rank is below its copy's cap."""
+
+    __slots__ = ("w", "rank", "masks", "pcm1")
+
+    def __init__(self, X, order, w):
+        super().__init__()
+        slots = X.edge_slots()
+        seen = {}  # copy id -> its edges so far
+        rank, masks = [], []
+        for e in order:
+            ci, cm, _, _ = slots[e]
+            n = seen.get(ci, 0)
+            seen[ci] = n + 1
+            rank.append(n)
+            masks.append(cm)
+        self.w = [w[e] for e in order]
+        self.rank = np.array(rank, dtype=np.int64)
+        self.masks = np.array(masks, dtype=np.int64)
+        self.pcm1 = pcm1_table(len(X.terminal_order))
+
+    def __missing__(self, key):
+        S, k = key
+        allowed = np.flatnonzero(self.rank < self.pcm1[S & self.masks])[:k]
+        total = self[key] = sum(map(self.w.__getitem__, allowed.tolist()))
+        return total
+
+
+def _tight_masks(X):
+    """The masks S with h(S) = 0 in the slack table of X, ascending."""
+    return (np.flatnonzero(X.slack_table()[1:] == 0) + 1).tolist()
+
+
+def _tight_closure(X, tight, m):
+    """The AND of the masks in `tight` (`_tight_masks`) that contain m,
+    within R: on a feasible X, where R is tight, the least tight
+    superset of m, since the tight sets are closed under intersection
+    (`removal_matroid`)."""
+    return reduce(and_, (S for S in tight if S & m == m), (1 << len(X.R)) - 1)
 
 
 def terminal_groups(X, cost):
@@ -102,28 +161,31 @@ def select_component(state):
     integer edge costs); each group is represented by its cheapest copy,
     ties to the smaller copy id.  Groups are visited in bound order and
     the greedy stops being run once no group left can win (module
-    docstring).  The winning score is asserted nonnegative.  With check, the greedy also
-    runs on the groups the bound skipped and each score is asserted at
-    most its bound, and each group's basis is ranked again on a full
-    slack table."""
+    docstring); the bounds read the tight sets of X once.  The winning
+    score is asserted nonnegative.  With check, the greedy also runs on
+    the groups the bound skipped and each score is asserted at most its
+    bound, and each group's basis is ranked again on a full slack
+    table."""
     split = state.split
     X = split.X
     N, w = X.N, split.w
-    groups = {X.mask_terms(m): group for m, group
-              in terminal_groups(X, split.scale.cost).items()}
+    groups = terminal_groups(X, split.scale.cost)
     if not groups:
         raise InvariantViolation("no piece with two terminals but |R| > 1")
     order = weight_order(split.K, w)
-    top = list(accumulate((w[e] for e in order), initial=0))
-    visits = sorted((-_score_bound(top, N, T, c), copy.id, T)
-                    for T, (c, copy) in groups.items())
+    top = _CappedTops(X, order, w)
+    tight = _tight_masks(X)
+    visits = []
+    for m, (c, copy) in groups.items():
+        T, S = X.mask_terms(m), _tight_closure(X, tight, m)
+        visits.append((-_score_bound(top, N, T, S, c), copy.id, T, S, c, copy))
+    visits.sort(key=lambda v: v[:2])
     best = None  # (score, -copy id, copy, basis)
-    for neg_bound, cid, T in visits:
+    for neg_bound, cid, T, S, c, copy in visits:
         bound = -neg_bound
         beaten = best is not None and (bound, -cid) <= best[:2]
         if beaten and not state.check:
             break
-        c, copy = groups[T]
         M = RemovalMatroid(X, T, groundset=split.K)
         B = greedy_max_weight_basis(M, w, order)
         if len(B) != M.full_rank:
@@ -142,7 +204,8 @@ def select_component(state):
             raise InvariantViolation(
                 "score %s of terminals %s above its bound %s"
                 % (score, sorted(T), bound),
-                {"terminals": sorted(T), "score": Rat(score, N * split.scale.D),
+                {"terminals": sorted(T), "tight_closure": sorted(X.mask_terms(S)),
+                 "score": Rat(score, N * split.scale.D),
                  "bound": Rat(bound, N * split.scale.D)})
         if not beaten and (best is None or (score, -cid) > best[:2]):
             best = (score, -cid, copy, B)

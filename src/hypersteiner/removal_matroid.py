@@ -20,10 +20,21 @@ Every piece of X - B is a tree, so removing one more edge e splits its
 piece into two sides with terminal masks m1 and m2, and h(S) rises by
 exactly 1 if S meets both sides, else stays.  Hence B + e is
 independent iff every tight superset S of Q (h(S) = |B| on X - B)
-meets both sides: a test on bitmasks (`greedy_max_weight_basis`).  It
-only sorts by the weights, so any totally ordered numbers serve; the
-contraction loop passes the splitting state's integer weights.
+meets both sides.  The tight sets form a lattice: the excess
+h_{X-B}(S) - |B| is submodular (|S| - 1 is modular and each
+(|S cap P| - 1)+ is supermodular, a convex function of |S cap P|), and
+on the supersets of Q, themselves closed under cap and cup, its
+minimum is 0 (B is independent), reached at R.  The minimizers of a
+submodular function are closed under cap and cup, so the tight sets
+have a least element S*, the AND of their masks, and every tight S
+meets both sides iff S* does: one test on bitmasks per candidate edge
+(`greedy_max_weight_basis`).  The greedy only sorts by the weights, so
+any totally ordered numbers serve; the contraction loop passes the
+splitting state's integer weights.
 """
+
+from functools import reduce
+from operator import and_
 
 from .ratio import R0
 
@@ -63,12 +74,12 @@ def greedy_max_weight_basis(M, w, order=None):
     compare its size with M.full_rank.
 
     The excess h(S) - |B| of X - B is kept on Q's supersets, with the
-    tight ones (excess 0).  An edge e whose piece splits into sides m1
-    and m2 (`BlowupGraph.edge_slots`) is dependent if a side holds no
-    terminal, independent without a scan if Q meets both sides (then
-    every superset does and no excess moves), and otherwise independent
-    iff every tight S meets both sides.  Only that last kind of accept
-    updates the excesses."""
+    least tight set S* (excess 0; module docstring).  An edge e whose
+    piece splits into sides m1 and m2 (`BlowupGraph.edge_slots`) is
+    dependent if a side holds no terminal, independent without a scan
+    if Q meets both sides (then every superset does and no excess
+    moves), and otherwise independent iff S* meets both sides.  Only
+    that last kind of accept updates the excesses, and S* with them."""
     X = M.X
     if order is None:
         order = weight_order(M.groundset, w)
@@ -76,7 +87,7 @@ def greedy_max_weight_basis(M, w, order=None):
     q = X.term_mask(M.Q)
     masks = M.supersets.tolist()
     excess = X.slack_table()[M.supersets].tolist()
-    tight = [S for S, x in zip(masks, excess) if x == 0]
+    meet = _least_tight(masks, excess)
     cuts = {}  # copy id -> [(edge id, below mask)] of B's edges there
     B = set()
     for e in order:
@@ -89,11 +100,17 @@ def greedy_max_weight_basis(M, w, order=None):
         if not (m1 and m2):
             continue
         if not (q & m1 and q & m2):
-            if not all(S & m1 and S & m2 for S in tight):
+            if not (meet & m1 and meet & m2):
                 continue
             excess = [x - 1 + bool(S & m1 and S & m2)
                       for S, x in zip(masks, excess)]
-            tight = [S for S, x in zip(masks, excess) if x == 0]
+            meet = _least_tight(masks, excess)
         B.add(e)
         cuts.setdefault(ci, []).append((e, below))
     return frozenset(B)
+
+
+def _least_tight(masks, excess):
+    """The AND of the masks whose excess is 0, within the last mask (R,
+    itself tight on a feasible graph)."""
+    return reduce(and_, (S for S, x in zip(masks, excess) if x == 0), masks[-1])

@@ -25,12 +25,14 @@ on degree-3 trees, runs on binarize(X) and is carried back by map_back.
 
 A SplittingState holds K, its witnesses, weights and potential; the
 contraction loop carries one, shrinking it after each step
-(SplittingState.contracted).  It computes on integers: with one Scale
-D = L * lcm(1..m), L the lcm of the edge-cost denominators and m the
-largest edge count of any copy, every c(e), every share c(f)/|W(f)|,
-every w(e) and Phi is an integer multiple of 1/D, and the state holds
-those integers.  The DP runs on the same Scale, so its optimum is the
-state's Phi times D, and optimal_splitting_set asserts that it is.
+(SplittingState.contracted, which updates only the witness sets, weight
+shares and potential terms the step's basis reaches).  It computes on
+integers: with one Scale D = L * lcm(1..m), L the lcm of the edge-cost
+denominators and m the largest edge count of any copy, every c(e),
+every share c(f)/|W(f)|, every w(e) and Phi is an integer multiple of
+1/D, and the state holds those integers.  The DP runs on the same
+Scale, so its optimum is the state's Phi times D, and
+optimal_splitting_set asserts that it is.
 Copies and witness sets only shrink under contraction, so the
 contracted states keep the same D.  Exact Fractions come back only at
 the boundary: the `weights` and `potential` properties (the iteration
@@ -76,7 +78,8 @@ class Scale:
 
 class SplittingState:
     """K with its witness sets, core weights and potential, all relative
-    to one blowup graph; computed once, carried through contraction.
+    to one blowup graph; computed once (`compute_witnesses_and_weights`),
+    carried through contraction (`contracted`).
 
     `w` (core id -> integer) and `phi` are the weights and Phi times
     scale.D, for the Scale of the blowup graph the first state was
@@ -85,18 +88,13 @@ class SplittingState:
 
     __slots__ = ("X", "K", "witness", "scale", "w", "phi")
 
-    def __init__(self, X, K, witness, scale):
+    def __init__(self, X, K, witness, scale, w, phi):
         self.X = X
         self.K = frozenset(K)
-        self.witness = dict(witness)   # cleanup edge id -> frozenset of core ids
+        self.witness = witness   # cleanup edge id -> frozenset of core ids
         self.scale = scale
-        cost = scale.cost
-        self.w = core_weights(cost, self.K, self.witness)
-        # Phi = sum over the edges of X of c(e) H(|W(e)|), |W(e)| = 1 on K;
-        # c(f) D H(k) = (c(f) D / lcm(1..m)) (lcm(1..m) H(k))
-        self.phi = (sum(cost[e] for e in self.K)
-                    + sum(exact_div(cost[f], scale.lcm_m) * scale.harmonics[len(W)]
-                          for f, W in self.witness.items()))
+        self.w = w
+        self.phi = phi
 
     @property
     def weights(self):
@@ -109,14 +107,36 @@ class SplittingState:
 
     def contracted(self, X2, B):
         """State on X2 = (X - B - F)/Q, F the cleanup edges whose witnesses
-        lie in B: K - B, and W(e) - B on the cleanup edges left in X2."""
+        lie in B: K - B, and W(e) - B on the cleanup edges left in X2.
+        A witness set that misses B is kept as it is; the weights and Phi
+        move only by the terms of B's edges and of the cleanup edges whose
+        witness set shrank or that X2 dropped."""
+        scale = self.scale
+        cost = scale.cost
+        w = {e: v for e, v in self.w.items() if e not in B}
+        phi = self.phi - sum(cost[e] for e in B)
         witness = {}
         for f, W in self.witness.items():
-            if f in X2.edges:
-                witness[f] = W - B
-                if not witness[f]:
-                    raise SplittingError("cleanup edge %d lost all witnesses" % f)
-        return SplittingState(X2, self.K - B, witness, self.scale)
+            if f in X2.edges and W.isdisjoint(B):
+                witness[f] = W
+                continue
+            phi -= _cleanup_term(scale, f, len(W))
+            if f not in X2.edges:
+                continue  # W(f) lies in B, and so do its shares
+            W2 = witness[f] = W - B
+            if not W2:
+                raise SplittingError("cleanup edge %d lost all witnesses" % f)
+            phi += _cleanup_term(scale, f, len(W2))
+            moved = exact_div(cost[f], len(W2)) - exact_div(cost[f], len(W))
+            for e in W2:
+                w[e] += moved
+        return SplittingState(X2, self.K - B, witness, scale, w, phi)
+
+
+def _cleanup_term(scale, f, k):
+    """c(f) D H(k) = (c(f) D / lcm(1..m)) (lcm(1..m) H(k)): the term of a
+    cleanup edge f with k witnesses in Phi times D."""
+    return exact_div(scale.cost[f], scale.lcm_m) * scale.harmonics[k]
 
 
 # ---- witnesses and weights ----------------------------------------------
@@ -135,7 +155,11 @@ def _state(X, K, scale):
     witness = {}
     for copy in X.copies:
         _copy_witnesses(X, copy, K, witness)
-    state = SplittingState(X, K, witness, scale)
+    # Phi = sum over the edges of X of c(e) H(|W(e)|), |W(e)| = 1 on K
+    phi = (sum(scale.cost[e] for e in K)
+           + sum(_cleanup_term(scale, f, len(W)) for f, W in witness.items()))
+    state = SplittingState(X, K, witness, scale,
+                           core_weights(scale.cost, K, witness), phi)
     assert sum(state.w.values()) == sum(state.scale.cost.values()), \
         "weight conservation failed"
     return state

@@ -207,19 +207,27 @@ def test_contraction_failure_exits_1(capsys, monkeypatch):
 
 def test_invariant_violation_details_json_on_stderr(capsys, monkeypatch):
     # a greedy cut short of a basis: the error line, then the witness data
+    # naming the terminals of the one group the greedy ran on (the first
+    # in the score-bound order)
     greedy = contract_alg.greedy_max_weight_basis
-    monkeypatch.setattr(contract_alg, "greedy_max_weight_basis",
-                        lambda M, w, order: greedy(M, w, order[:M.full_rank - 1]))
+    visited = []
+
+    def cut_short(M, w, order):
+        visited.append(sorted(M.Q))
+        return greedy(M, w, order[:M.full_rank - 1])
+
+    monkeypatch.setattr(contract_alg, "greedy_max_weight_basis", cut_short)
     g17 = pathlib.Path(__file__).resolve().parent / "golden" / "g17.stp"
     code = cli.main(["run", str(g17)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
+    assert len(visited) == 1
     message = "ground set is rank deficient: 0 < 1"
     assert captured.err.splitlines() == [
         "invariant violated: " + message,
         json.dumps({"type": "InvariantViolation", "message": message,
-                    "details": {"terminals": [2, 4], "basis_size": 0,
+                    "details": {"terminals": visited[0], "basis_size": 0,
                                 "full_rank": 1}}, sort_keys=True)]
 
 

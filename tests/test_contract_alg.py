@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -205,22 +206,23 @@ def test_check_mode_catches_drifted_carried_slot(monkeypatch):
 
 def test_check_mode_recomputes_weights(monkeypatch):
     """check=True recomputes the weights from fresh witness sets, so
-    weights that conserve the total cost but are wrong raise.  The shift
-    moves one unit of the integer scale (1/D) from the second-largest core
-    id to the largest; on this point the first step's potential-drop
-    check stays quiet, so only the recomputation catches it."""
+    carried weights that conserve the total cost but are wrong raise.
+    The shift moves one unit of the integer scale (1/D) from the
+    second-largest core id to the largest in every contracted state; on
+    this point the first step's potential-drop check stays quiet, so only
+    the recomputation catches it."""
     inst, sol = mixed_hypertree_point(1, 3)
-    core_weights = splitting.core_weights
+    contracted = splitting.SplittingState.contracted
 
-    def shifted(cost, K, witness):
-        weights = core_weights(cost, K, witness)
-        if len(weights) >= 2:
-            b, a = sorted(weights)[-2:]
-            weights[a] += 1
-            weights[b] -= 1
-        return weights
+    def shifted(self, X2, B):
+        new = contracted(self, X2, B)
+        if len(new.w) >= 2:
+            b, a = sorted(new.w)[-2:]
+            new.w[a] += 1
+            new.w[b] -= 1
+        return new
 
-    monkeypatch.setattr(splitting, "core_weights", shifted)
+    monkeypatch.setattr(splitting.SplittingState, "contracted", shifted)
     with pytest.raises(contract_alg.InvariantViolation,
                        match="incremental weight update diverged"):
         contract_alg.run_from_solution(inst, sol, check=True)
@@ -239,7 +241,7 @@ def test_check_mode_catches_low_score_bound(monkeypatch):
     bound = contract_alg._score_bound
     low_T = frozenset({1, 7})
     monkeypatch.setattr(contract_alg, "_score_bound",
-                        lambda top, N, T, cost: bound(top, N, T, cost) - (T == low_T))
+                        lambda top, N, T, S, cost: bound(top, N, T, S, cost) - (T == low_T))
     _, low = contract_alg.run_from_solution(inst, sol)
     assert low["iterations"] != cert["iterations"]
     with pytest.raises(contract_alg.InvariantViolation,
@@ -247,6 +249,27 @@ def test_check_mode_catches_low_score_bound(monkeypatch):
         contract_alg.run_from_solution(inst, sol, check=True)
     details = exc.value.details
     assert details["terminals"] == [1, 7]
+    assert details["bound"] < details["score"]
+    assert details["tight_closure"] == [1, 7]
+
+
+def test_check_mode_catches_low_copy_cap(monkeypatch):
+    """The capped bound lets each copy P give at most (|S cap P| - 1)+
+    edges, S the tight closure of the terminals.  With every cap planted
+    one unit too low, some piece's greedy basis scores above its bound,
+    and check mode names the piece's terminals and closure: on this
+    point terminals {2, 4}, whose closure {1, 2, 4} lies strictly between
+    them and R = {1, 2, 3, 4}."""
+    inst, sol = mixed_hypertree_point(3, 2)
+    pcm1 = contract_alg.pcm1_table
+    monkeypatch.setattr(contract_alg, "pcm1_table",
+                        lambda r: np.maximum(pcm1(r) - 1, 0))
+    with pytest.raises(contract_alg.InvariantViolation,
+                       match="above its bound") as exc:
+        contract_alg.run_from_solution(inst, sol, check=True)
+    details = exc.value.details
+    assert details["terminals"] == [2, 4]
+    assert details["tight_closure"] == [1, 2, 4]
     assert details["bound"] < details["score"]
 
 

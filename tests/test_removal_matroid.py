@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -155,6 +157,101 @@ def test_greedy_equals_rank_greedy_on_contracted_graphs(visited_graphs):
                 B = removal_matroid.greedy_max_weight_basis(M, weights)
                 assert B == _rank_greedy(M, weights, M.rank)
                 assert len(B) == M.full_rank
+
+
+def _sides(X, B, e):
+    """Terminal masks of the two pieces that removing e splits its piece
+    of X - B into, from `copy_pieces` (no edge slots)."""
+    copy = next(c for c in X.copies if e in c.edge_ids)
+    before = {frozenset(vs) for vs, _ in X.copy_pieces(copy, B)}
+    m1, m2 = [X.term_mask(vs) for vs, _ in X.copy_pieces(copy, B | {e})
+              if frozenset(vs) not in before]
+    return m1, m2
+
+
+def test_tight_sets_form_a_lattice(visited_graphs):
+    """For random greedy prefixes B, the tight supersets of Q on X - B
+    (h(S) = |B|) are closed under cap and cup, so their AND S* is one of
+    them; for every candidate edge the one-mask test on S* agrees with
+    the test on all tight sets and with the full-table rank."""
+    rng = random.Random(2)
+    for X, K, _ in visited_graphs:
+        ground = sorted(K)
+        for Q in _termsets(X):
+            M = removal_matroid.RemovalMatroid(X, Q, groundset=K)
+            order = rng.sample(ground, len(ground))
+            B = set(removal_matroid.greedy_max_weight_basis(
+                M, {}, order[:rng.randrange(len(order) + 1)]))
+            h = X.slack_table(B)
+            tight = {S for S in M.supersets.tolist() if h[S] == len(B)}
+            assert M.rank(B) == len(B) and tight
+            for S1 in tight:
+                for S2 in tight:
+                    assert S1 & S2 in tight and S1 | S2 in tight
+            meet = functools.reduce(operator.and_, tight)
+            assert meet in tight
+            for e in ground:
+                if e in B:
+                    continue
+                m1, m2 = _sides(X, B, e)
+                every = all(S & m1 and S & m2 for S in tight)
+                assert bool(meet & m1 and meet & m2) == every
+                assert every == (M.rank(B | {e}) == len(B) + 1)
+
+
+def _capped_bound(X, Q, ground, w):
+    """The contraction's score bound at cost 0 for terminals Q over the
+    ground set, with the tight closure of Q it caps the copies by."""
+    tight = contract_alg._tight_masks(X)
+    S = contract_alg._tight_closure(X, tight, X.term_mask(Q))
+    top = contract_alg._CappedTops(X, removal_matroid.weight_order(ground, w), w)
+    return contract_alg._score_bound(top, X.N, Q, S, 0), S
+
+
+def test_capped_bound_on_contracted_graphs(visited_graphs):
+    """The capped bound of every terminal group is at least its best basis
+    weight (the greedy's) and at most the uncapped sum of the N(|Q|-1)
+    largest weights; the closure is the least tight superset of Q."""
+    for X, K, w in visited_graphs:
+        table = X.slack_table()
+        weights = sorted((w[e] for e in K), reverse=True)
+        for Q in _termsets(X):
+            bound, S = _capped_bound(X, Q, K, w)
+            q = X.term_mask(Q)
+            assert S & q == q and table[S] == 0
+            assert all(T & S == S for T in range(len(table))
+                       if T & q == q and table[T] == 0)
+            M = removal_matroid.RemovalMatroid(X, Q, groundset=K)
+            B = removal_matroid.greedy_max_weight_basis(M, w)
+            assert sum(w[e] for e in B) <= bound <= sum(weights[:M.full_rank])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_capped_bound_against_minimal_removals(seed):
+    """Every inclusion-minimal removal cuts each copy P at most
+    (|S cap P| - 1)+ times, S the tight closure of Q, so the capped
+    bound is at least the heaviest one inside the ground set; weights
+    are small integers, with many ties."""
+    if seed % 5 == 0:
+        inst, sol = fractional_solution_n2()
+    else:
+        inst, sol = mixed_hypertree_point(seed % 500, 2 + seed % 2)
+    X = hyperlp.blowup_from_solution(inst, sol)
+    if X.N < 2 or len(X.edges) > 12:
+        return
+    rng = random.Random(seed)
+    K = splitting.splitting_set(X, "dp").K
+    for Q in _termsets(X):
+        minimal = [frozenset(b) for b in oracles.enumerate_minimal_removals(X, Q)]
+        for ground in (K, frozenset(X.edges)):
+            w = {e: rng.randint(0, 3) for e in ground}
+            bound, S = _capped_bound(X, Q, ground, w)
+            for b in minimal:
+                for copy in X.copies:
+                    cap = max(bin(S & X.copy_masks()[copy.id]).count("1") - 1, 0)
+                    assert len(b.intersection(copy.edge_ids)) <= cap
+            assert max(sum(w[e] for e in b) for b in minimal if b <= ground) <= bound
 
 
 def test_slack_table_matches_pieces_on_contracted_graphs(visited_graphs):
