@@ -18,9 +18,11 @@ iteration, which telescopes to: output cost <= Phi_initial / N.
 
 A step walks only the copies it cuts.  The contracted graph carries
 each other copy's terminal mask and edge slots (BlowupGraph.contract),
-so grouping the pieces by terminal set reads no copy's vertices; check
-mode compares the carried data with the graph built fresh
-(`_check_carried`).
+the splitting state each copy's cost and each core edge's rank in its
+copy (`selection`; a copy a step leaves whole keeps its witness sets,
+hence its weights), so grouping and capping read no copy's edges; check
+mode compares all of it with the same data built copy by copy, before
+the first step and after every step (`_check_carried`).
 
 The loop runs on the splitting state's integers (costs, weights and Phi
 times its scale D).  A piece's score is the integer
@@ -44,7 +46,7 @@ converted at that boundary.
 """
 
 from functools import reduce
-from operator import and_
+from operator import and_, attrgetter, itemgetter
 
 import numpy as np
 
@@ -92,27 +94,19 @@ def _score_bound(top, N, T, S, cost):
 class _CappedTops(dict):
     """(S, k) -> the sum of the k largest weights of K taken with at most
     (|S cap P| - 1)+ edges from each copy P, filled on first use; with
-    fewer edges allowed than k, the sum of them all.  Built once per step
-    from K in weight order (`order`): per edge, its copy's terminal mask
-    and its rank among its copy's edges (`BlowupGraph.edge_slots`), so
-    that an edge is allowed iff its rank is below its copy's cap."""
+    fewer edges allowed than k, the sum of them all.  Built per step from
+    the state's `selection` and each edge's copy mask (`edge_slots`): an
+    edge is allowed iff its rank is below its copy's cap."""
 
     __slots__ = ("w", "rank", "masks", "pcm1")
 
-    def __init__(self, X, order, w):
+    def __init__(self, X, order, w, rank):
         super().__init__()
-        slots = X.edge_slots()
-        seen = {}  # copy id -> its edges so far
-        rank, masks = [], []
-        for e in order:
-            ci, cm, _, _ = slots[e]
-            n = seen.get(ci, 0)
-            seen[ci] = n + 1
-            rank.append(n)
-            masks.append(cm)
-        self.w = [w[e] for e in order]
-        self.rank = np.array(rank, dtype=np.int64)
-        self.masks = np.array(masks, dtype=np.int64)
+        n = len(order)
+        self.w = list(map(w.__getitem__, order))
+        self.rank = np.fromiter(map(rank.__getitem__, order), np.int64, n)
+        slots = map(X.edge_slots().__getitem__, order)
+        self.masks = np.fromiter(map(itemgetter(1), slots), np.int64, n)
         self.pcm1 = pcm1_table(len(X.terminal_order))
 
     def __missing__(self, key):
@@ -135,17 +129,16 @@ def _tight_closure(X, tight, m):
     return reduce(and_, (S for S in tight if S & m == m), (1 << len(X.R)) - 1)
 
 
-def terminal_groups(X, cost):
+def terminal_groups(X, copy_cost):
     """Terminal mask -> (integer cost, copy) of the cheapest copy of X
     with that mask, ties to the smaller copy id, over the copies with two
-    terminals or more; a copy's cost sums `cost` (edge id -> integer)
-    over its edges."""
+    terminals or more; `copy_cost` maps copy id -> integer cost."""
     groups = {}
     masks = X.copy_masks()
     for copy in X.copies:
         m = masks[copy.id]
         if m & (m - 1):
-            c = sum(cost[e] for e in copy.edge_ids)
+            c = copy_cost[copy.id]
             cur = groups.get(m)
             if cur is None or (c, copy.id) < (cur[0], cur[1].id):
                 groups[m] = (c, copy)
@@ -158,7 +151,7 @@ def select_component(state):
 
     Pieces are grouped by terminal set (the matroid only depends on it;
     `terminal_groups`, on the masks the graph carries and the state's
-    integer edge costs); each group is represented by its cheapest copy,
+    carried copy costs); each group is represented by its cheapest copy,
     ties to the smaller copy id.  Groups are visited in bound order and
     the greedy stops being run once no group left can win (module
     docstring); the bounds read the tight sets of X once.  The winning
@@ -169,11 +162,11 @@ def select_component(state):
     split = state.split
     X = split.X
     N, w = X.N, split.w
-    groups = terminal_groups(X, split.scale.cost)
+    order, ranks, copy_cost = split.selection()
+    groups = terminal_groups(X, copy_cost)
     if not groups:
         raise InvariantViolation("no piece with two terminals but |R| > 1")
-    order = weight_order(split.K, w)
-    top = _CappedTops(X, order, w)
+    top = _CappedTops(X, order, w, ranks)
     tight = _tight_masks(X)
     visits = []
     for m, (c, copy) in groups.items():
@@ -246,7 +239,7 @@ def contract_step(state, Q, B):
              "phi_after": Rat(phi, D), "basis_weight": Rat(wB, D)})
     state.log.append({
         "terminals": sorted(TQ), "new_terminal": z,
-        "component_cost": Rat(sum(split.scale.cost[e] for e in Q.edge_ids), D),
+        "component_cost": Rat(split.selection()[2][Q.id], D),
         "basis_size": len(B), "basis_weight": Rat(wB, D),
         "cleaned": len(F), "phi": Rat(phi, D),
     })
@@ -258,7 +251,7 @@ def _full_check(split):
     X = split.X
     _check_carried(split)
     if len(X.R) > 1 and not X.is_feasible():
-        raise InvariantViolation("contracted blowup graph is infeasible")
+        raise InvariantViolation("blowup graph is infeasible")
     # no pendant non-terminals
     for copy in X.copies:
         for v, nb in X.adjacency(copy.vertices, copy.edge_ids).items():
@@ -266,11 +259,12 @@ def _full_check(split):
                 raise InvariantViolation("pendant non-terminal %d survived "
                                          "cleanup in copy %d" % (v, copy.id))
     if len(X.R) > 1:
-        # K still splits X, and the carried state matches fresh witnesses
-        # and weights and Phi recomputed here, not through SplittingState
-        fresh = _split.compute_witnesses_and_weights(X, split.K).witness
+        # K still splits X, and the state matches witnesses walked per
+        # copy and weights and Phi recomputed here, not through
+        # SplittingState
+        fresh = _split.witness_sets(X, split.K, attrgetter("id"))
         if fresh != split.witness:
-            raise InvariantViolation("incremental witness update diverged")
+            raise InvariantViolation("witness sets diverged from a per-copy walk")
         weights = {e: X.edges[e].cost for e in split.K}
         phi = sum(weights.values(), R0)
         for f, W in fresh.items():
@@ -285,28 +279,29 @@ def _full_check(split):
 
 
 def _check_carried(split):
-    """The data contraction carries against the same graph built fresh:
-    per edge the copy id, the copy's mask and the unordered pair of side
-    masks (the walk root may differ), the slack table of X and the
-    terminal groups, costed on the state's integer edge costs."""
-    X, Y = split.X, split.X.fresh()
-    carried, fresh = X.edge_slots(), Y.edge_slots()
+    """The data built once per shape or carried through contraction
+    against the same data built copy by copy: each edge's slot (walk roots
+    agree), each copy's mask, the slack table of X, and the state's weight
+    order, ranks and terminal groups with copy costs."""
+    X, K, w, cost = split.X, split.K, split.w, split.scale.cost
+    slots = X.edge_slots()
+    fresh = X.walk_slots(X.copies, attrgetter("id"))
     for eid in sorted(X.edges):
-        cid, cm, below, _ = fresh[eid]
-        want = [cid, cm, sorted((below, cm & ~below))]
-        try:
-            cid, cm, below, _ = carried[eid]
-            got = [cid, cm, sorted((below, cm & ~below))]
-        except KeyError:
-            got = None
-        if got != want:
+        if slots.get(eid) != fresh[eid]:
             raise InvariantViolation(
                 "carried slot of edge %d diverged from a fresh walk" % eid,
-                {"edge": eid, "carried": got, "fresh": want})
-    if X.slack_table().tolist() != Y.slack_table().tolist():
+                {"edge": eid, "carried": slots.get(eid), "fresh": fresh[eid]})
+    if X.copy_masks() != {c.id: X.term_mask(c.vertices) for c in X.copies}:
+        raise InvariantViolation("carried copy masks diverged")
+    if X.slack_table().tolist() != X.fresh().slack_table().tolist():
         raise InvariantViolation("carried slack table of X diverged")
-    cost = split.scale.cost
-    if terminal_groups(X, cost) != terminal_groups(Y, cost):
+    order, rank, copy_cost = split.selection()
+    ranks = {e: i for c in X.copies
+             for i, e in enumerate(weight_order(K.intersection(c.edge_ids), w))}
+    if order != weight_order(K, w) or {e: rank[e] for e in K} != ranks:
+        raise InvariantViolation("carried weight order or ranks diverged")
+    costs = {c.id: sum(cost[e] for e in c.edge_ids) for c in X.copies}
+    if terminal_groups(X, copy_cost) != terminal_groups(X, costs):
         raise InvariantViolation("carried terminal groups diverged")
 
 
@@ -329,6 +324,8 @@ def run_from_solution(instance, sol, strategy="dp", seed=0, check=False,
     optimum or a hand-built feasible point)."""
     X0 = blowup_from_solution(instance, sol)
     state = AlgorithmState(_split.splitting_set(X0, strategy, seed), check=check)
+    if check:
+        _full_check(state.split)
     phi0 = state.split.potential
     guard = len(state.split.K) + 1
     while not state.done():

@@ -23,19 +23,22 @@ piece P, (|S cap P| - 1)+ read off one (popcount - 1)+ table at
 S & mask(P), once per distinct piece mask; the copies an edge set F
 cuts are split into their pieces by `copy_pieces`.  The removal-matroid greedy reads no
 table per candidate edge: `edge_slots` gives every edge its copy, the
-terminal mask below it and its ancestor edges (one `instance.orient` per
-copy), from which the two sides of its piece follow by mask arithmetic.
+terminal mask below it and its own and its ancestors' position bits in
+the copy's edge ids, from which the two sides of its piece follow by mask
+arithmetic; copies of one shape align by position (`BlowupCopy`), so the
+first graph walks (`instance.orient`) one copy per shape.
 
 Contraction carries this derived data.  A copy that F leaves whole is
-the same tree after (X - F)/Q, with at most one terminal renamed to z;
-only its terminal masks move to the new bit positions (`_Remap`).  So
-`contract` walks only the pieces F cuts, and the contracted graph takes
-every other copy's terminal mask and edge slots from the graph before it,
-remapped.
+the same tree after (X - F)/Q, with its edge ids in the same order and
+at most one terminal renamed to z; only its terminal masks move to the
+new bit positions (`_Remap`).  So `contract` walks only the pieces F
+cuts, and the contracted graph takes every other copy's terminal mask
+and edge slots from the graph before it, remapped.
 """
 
 import functools
 from collections import Counter
+from operator import attrgetter
 
 import numpy as np
 
@@ -77,7 +80,9 @@ class BlowupCopy:
         self.id = cid
         self.edge_ids = tuple(edge_ids)
         self.vertices = tuple(sorted(vertices))
-        self.shape = shape  # memoization key shared by structurally equal copies
+        # copies of one shape hold the same terminals, and their vertices
+        # (sorted) and edge ids align by position: the same tree, renamed
+        self.shape = shape
 
     def __repr__(self):
         return "Copy%d(V=%s)" % (self.id, list(self.vertices))
@@ -110,6 +115,7 @@ class BlowupGraph:
         self._table = None
         self._masks = None
         self._slots = None
+        self.pieces = ()  # the copies `contract` cut out to make this graph
 
     def fresh(self):
         """The same graph with no derived table built or carried."""
@@ -177,10 +183,11 @@ class BlowupGraph:
 
     def edge_slots(self):
         """Edge id -> (copy id, terminal mask of that copy, terminal mask
-        below the edge, frozenset of its ancestor edges), with each copy
-        rooted where `_walk` first walked it: at its smallest vertex then
-        (contraction may rename that vertex to z); built on first use, or
-        carried by `contract`.
+        below the edge, the edge's position bit, the bits of its ancestor
+        edges), positions and bits counted in the copy's `edge_ids`, with
+        each copy rooted at the first end of its first edge (renaming to z
+        keeps that end's place); built on first use, one walk per shape,
+        or carried by `contract`.
 
         Under a set C of the copy's edges removed, the piece holding an
         edge e outside C has the terminal mask: the copy's mask, AND
@@ -188,25 +195,37 @@ class BlowupGraph:
         other f in C.  Removing e splits it into piece & below(e) and
         piece & ~below(e), whichever vertex is the root."""
         if self._slots is None:
-            self._slots = {}
-            for copy in self.copies:
-                self._walk(copy, self._slots)
+            self._slots = self.walk_slots(self.copies, attrgetter("shape"))
         return self._slots
 
-    def _walk(self, copy, slots):
-        """Enter the slots of one copy's edges into `slots`, by one
-        `instance.orient` from the copy's smallest vertex."""
+    def walk_slots(self, copies, key):
+        """The slots of the edges of `copies`, one `_walk` per distinct
+        key(copy): per shape for `edge_slots`, per copy for check mode."""
+        slots, walks = {}, {}
+        for copy in copies:
+            if key(copy) not in walks:
+                walks[key(copy)] = self._walk(copy)
+            cm, rows = walks[key(copy)]
+            slots.update(zip(copy.edge_ids, [(copy.id, cm) + row for row in rows]))
+        return slots
+
+    def _walk(self, copy):
+        """(terminal mask, [(below, bit, ancestor bits)] by position) of one
+        copy, by one `instance.orient` from the root `edge_slots` names."""
         tidx = self._tidx
-        root = copy.vertices[0]
+        pos = {eid: i for i, eid in enumerate(copy.edge_ids)}
+        root = self.edges[copy.edge_ids[0]].u
         order, parent = orient(self.adjacency(copy.vertices, copy.edge_ids), [root])
         below = {v: 1 << tidx[v] if v in tidx else 0 for v in order}
         for v in reversed(order[1:]):
             below[parent[v][0]] |= below[v]
-        up = {root: frozenset()}
+        up = {root: 0}
+        rows = [None] * len(copy.edge_ids)
         for v in order[1:]:
             p, eid = parent[v]
-            up[v] = up[p] | {eid}
-            slots[eid] = (copy.id, below[root], below[v], up[p])
+            up[v] = up[p] | 1 << pos[eid]
+            rows[pos[eid]] = (below[v], 1 << pos[eid], up[p])
+        return below[root], rows
 
     def slack_table(self, F=frozenset()):
         """numpy int64 vector of h(S) over all 2^|R| terminal masks (entry 0
@@ -290,15 +309,14 @@ class BlowupGraph:
                          z + 1, self._next_eid, cid)
         remap = _Remap(self.term_mask(TQ), len(X2.terminal_order))
         masks, slots = self.copy_masks(), self.edge_slots()
+        X2.pieces = tuple(pieces)
+        X2._slots = X2.walk_slots(pieces, attrgetter("id"))
         X2._masks = {c.id: remap[masks[c.id]] for c in carried}
-        X2._slots = {}
+        X2._masks.update((p.id, X2.term_mask(p.vertices)) for p in pieces)
         for c in carried:
             for eid in c.edge_ids:
-                ci, cm, below, ancestors = slots[eid]
-                X2._slots[eid] = (ci, remap[cm], remap[below], ancestors)
-        for p in pieces:
-            X2._masks[p.id] = X2.term_mask(p.vertices)
-            X2._walk(p, X2._slots)
+                ci, cm, below, bit, up = slots[eid]
+                X2._slots[eid] = (ci, remap[cm], remap[below], bit, up)
         return X2, z
 
 

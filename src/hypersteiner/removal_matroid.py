@@ -88,14 +88,14 @@ def greedy_max_weight_basis(M, w, order=None):
     masks = M.supersets.tolist()
     excess = X.slack_table()[M.supersets].tolist()
     meet = _least_tight(masks, excess)
-    cuts = {}  # copy id -> [(edge id, below mask)] of B's edges there
+    cuts = {}  # copy id -> [(position bit, below mask)] of B's edges there
     B = set()
     for e in order:
         if len(B) == M.full_rank:
             break
-        ci, piece, below, ancestors = slots[e]
-        for f, fbelow in cuts.get(ci, ()):
-            piece &= fbelow if f in ancestors else ~fbelow
+        ci, piece, below, bit, up = slots[e]
+        for fbit, fbelow in cuts.get(ci, ()):
+            piece &= fbelow if fbit & up else ~fbelow
         m1, m2 = piece & below, piece & ~below
         if not (m1 and m2):
             continue
@@ -106,7 +106,7 @@ def greedy_max_weight_basis(M, w, order=None):
                       for S, x in zip(masks, excess)]
             meet = _least_tight(masks, excess)
         B.add(e)
-        cuts.setdefault(ci, []).append((e, below))
+        cuts.setdefault(ci, []).append((bit, below))
     return frozenset(B)
 
 

@@ -39,6 +39,9 @@ the boundary: the `weights` and `potential` properties (the iteration
 log, the certificate, the CLI).  Every division on the way asserts a
 zero remainder.
 
+Copies of one shape align by position (`BlowupCopy`), and the DP gives
+them one cleanup pattern, so witness sets are walked once per shape and
+pattern and read off by position for the other copies (`witness_sets`).
 Every walk over a copy is one `instance.orient` over the copy's
 `BlowupGraph.adjacency`: the cleanup trees from their terminals (witness
 sets), the copy from its smallest terminal (the DP) or from both ends of
@@ -49,10 +52,12 @@ not depend on the search order, and children keep edge-id order.
 
 import math
 import random as _random
+from operator import attrgetter
 
 from .ratio import Rat, R0, harmonic, lcm_denominators, exact_div, scaled
 from .instance import orient
 from .hyperlp import BlowupGraph, BlowupEdge, BlowupCopy
+from .removal_matroid import weight_order
 
 
 class SplittingError(ValueError):
@@ -84,9 +89,10 @@ class SplittingState:
     `w` (core id -> integer) and `phi` are the weights and Phi times
     scale.D, for the Scale of the blowup graph the first state was
     made for; `weights` and `potential` are the same as exact
-    rationals."""
+    rationals.  `selection` holds the contraction's data on K."""
 
-    __slots__ = ("X", "K", "witness", "scale", "w", "phi")
+    __slots__ = ("X", "K", "witness", "scale", "w", "phi", "order", "rank",
+                 "copy_cost")
 
     def __init__(self, X, K, witness, scale, w, phi):
         self.X = X
@@ -95,6 +101,16 @@ class SplittingState:
         self.scale = scale
         self.w = w
         self.phi = phi
+        self.order = self.rank = self.copy_cost = None
+
+    def selection(self):
+        """(order, rank, copy_cost): K by `weight_order`, core id -> its rank
+        there among its copy's core edges, copy id -> integer cost."""
+        if self.order is None:
+            self.order = weight_order(self.K, self.w)
+            self.rank = _ranks(self.X, self.order)
+            self.copy_cost = _costs(self.X.copies, self.scale.cost)
+        return self.order, self.rank, self.copy_cost
 
     @property
     def weights(self):
@@ -110,7 +126,8 @@ class SplittingState:
         lie in B: K - B, and W(e) - B on the cleanup edges left in X2.
         A witness set that misses B is kept as it is; the weights and Phi
         move only by the terms of B's edges and of the cleanup edges whose
-        witness set shrank or that X2 dropped."""
+        witness set shrank or that X2 dropped.  Of `selection`, the order is
+        sorted again; ranks and costs are new only for `X2.pieces`."""
         scale = self.scale
         cost = scale.cost
         w = {e: v for e, v in self.w.items() if e not in B}
@@ -130,7 +147,26 @@ class SplittingState:
             moved = exact_div(cost[f], len(W2)) - exact_div(cost[f], len(W))
             for e in W2:
                 w[e] += moved
-        return SplittingState(X2, self.K - B, witness, scale, w, phi)
+        new = SplittingState(X2, self.K - B, witness, scale, w, phi)
+        _, rank, copy_cost = self.selection()
+        new.order = weight_order(new.K, w)
+        pieces = {e for p in X2.pieces for e in p.edge_ids}
+        new.rank = {**rank, **_ranks(X2, filter(pieces.__contains__, new.order))}
+        new.copy_cost = {**copy_cost, **_costs(X2.pieces, cost)}
+        return new
+
+
+def _ranks(X, order):
+    """Edge id -> its rank in `order` among the edges of its copy."""
+    slots, seen, rank = X.edge_slots(), {}, {}
+    for e in order:
+        ci = slots[e][0]
+        rank[e] = seen[ci] = seen.get(ci, -1) + 1
+    return rank
+
+
+def _costs(copies, cost):
+    return {c.id: sum(map(cost.__getitem__, c.edge_ids)) for c in copies}
 
 
 def _cleanup_term(scale, f, k):
@@ -152,9 +188,7 @@ def _state(X, K, scale):
     K = frozenset(K)
     if not K <= set(X.edges):
         raise SplittingError("K contains unknown edges")
-    witness = {}
-    for copy in X.copies:
-        _copy_witnesses(X, copy, K, witness)
+    witness = witness_sets(X, K, attrgetter("shape"))
     # Phi = sum over the edges of X of c(e) H(|W(e)|), |W(e)| = 1 on K
     phi = (sum(scale.cost[e] for e in K)
            + sum(_cleanup_term(scale, f, len(W)) for f, W in witness.items()))
@@ -175,6 +209,23 @@ def core_weights(cost, K, witness):
         for e in W:
             weights[e] += share
     return weights
+
+
+def witness_sets(X, K, key):
+    """Cleanup edge id -> witness set, validating K: one `_copy_witnesses`
+    per distinct (key(copy), core positions), read off by position for the
+    other copies; keyed by shape (`BlowupCopy`), or by id in check mode."""
+    witness, memo = {}, {}
+    for copy in X.copies:
+        ids = copy.edge_ids
+        k = (key(copy), tuple(map(K.__contains__, ids)))
+        if k not in memo:
+            pos = {e: i for i, e in enumerate(ids)}
+            memo[k] = [(pos[f], tuple(map(pos.__getitem__, W)))
+                       for f, W in _copy_witnesses(X, copy, K, {}).items()]
+        for f, W in memo[k]:
+            witness[ids[f]] = frozenset(map(ids.__getitem__, W))
+    return witness
 
 
 def _copy_witnesses(X, copy, K, witness):
@@ -206,6 +257,7 @@ def _copy_witnesses(X, copy, K, witness):
             raise SplittingError("cleanup edge %d has empty witness set" % eid)
         witness[eid] = frozenset(sub[v])
         sub[p] |= sub[v]
+    return witness
 
 
 # ---- strategies ----------------------------------------------------------
@@ -409,8 +461,8 @@ def _dp_copy(X, copy, scale):
             A, B = dict.fromkeys(range(M + 1), (0, 0)), {}
         else:
             A, B = {}, {0: (0, 0)}
-            for (w, f) in children[u]:
-                A, B = _merge(A, B, *extended(w, f), M)
+            for i, (w, f) in enumerate(children[u]):  # merging into A, B copies
+                A, B = _merge(A, B, *extended(w, f), M) if i else extended(w, f)
         # c(e) D H(a) = (c(e) D / lcm(1..m)) (lcm(1..m) H(a))
         c = exact_div(scale.cost[eid], scale.lcm_m)
         return _extend(c, scale.harmonics, bit[eid], A, B, M)
@@ -456,17 +508,18 @@ def _extend(c, hs, bit, Au, Bu, M):
 
 def _merge(A1, B1, A2, B2, M):
     """Combine two partial trees sharing only their non-terminal root."""
+    A1, B1, A2, B2 = (sorted(T.items()) for T in (A1, B1, A2, B2))
     A, B = {}, {}
-    for a1, (v1, f1) in sorted(A1.items()):
-        for b2, (v2, f2) in sorted(B2.items()):
+    for a1, (v1, f1) in A1:
+        for b2, (v2, f2) in B2:
             if 0 <= a1 - b2 <= M:
                 _keep(A, a1 - b2, v1 + v2, f1 | f2)
-    for b1, (v1, f1) in sorted(B1.items()):
-        for a2, (v2, f2) in sorted(A2.items()):
+    for b1, (v1, f1) in B1:
+        for a2, (v2, f2) in A2:
             if 0 <= a2 - b1 <= M:
                 _keep(A, a2 - b1, v1 + v2, f1 | f2)
-    for b1, (v1, f1) in sorted(B1.items()):
-        for b2, (v2, f2) in sorted(B2.items()):
+    for b1, (v1, f1) in B1:
+        for b2, (v2, f2) in B2:
             if b1 + b2 <= M:
                 _keep(B, b1 + b2, v1 + v2, f1 | f2)
     return A, B

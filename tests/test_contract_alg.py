@@ -100,11 +100,13 @@ def test_check_mode_catches_bad_subtree_mask(monkeypatch):
     def corrupted(X):
         table = slots(X)
         if 6 in table:
-            ci, cm, below, ancestors = table[6]
-            table[6] = (ci, cm, cm & -cm, ancestors)
+            ci, cm, below, bit, up = table[6]
+            table[6] = (ci, cm, cm & -cm, bit, up)
         return table
 
     monkeypatch.setattr(hyperlp.BlowupGraph, "edge_slots", corrupted)
+    # the slot comparison of check mode would name the edge first
+    monkeypatch.setattr(contract_alg, "_check_carried", lambda split: None)
     with pytest.raises(contract_alg.InvariantViolation,
                        match=r"greedy basis for terminals \[1, 3\] has rank 2 < 3") as exc:
         contract_alg.run_from_solution(inst, sol, check=True)
@@ -127,13 +129,13 @@ def test_carried_data_matches_fresh_build(monkeypatch):
     for seed in range(4):
         contract_alg.run_from_solution(*frac_point(seed), check=True)
     assert {c.shape[0] for split in seen for c in split.X.copies} == {"c", "p", "z"}
-    # one check per step; every graph selected on but the four initial ones
-    assert len(checked) == len(seen)
-    assert sum(split.X in checked for split in seen) == len(seen) - 4
+    # one check per step and one before the first: every graph selected on
+    assert len(checked) == len(seen) + 4
+    assert sum(split.X in checked for split in seen) == len(seen)
     for split in seen:
         X = split.X
         order = removal_matroid.weight_order(split.K, split.w)
-        for m in contract_alg.terminal_groups(X, split.scale.cost):
+        for m in contract_alg.terminal_groups(X, split.selection()[2]):
             T = X.mask_terms(m)
             bases = [removal_matroid.greedy_max_weight_basis(
                 removal_matroid.RemovalMatroid(Y, T, groundset=split.K), split.w, order)
@@ -165,7 +167,7 @@ def test_carried_slots_cover_every_edge(monkeypatch):
     assert len(graphs) > 8 and sum(len(X.R) == 1 for X in graphs) == 4
 
     def summary(slot):
-        cid, cm, below, _ = slot
+        cid, cm, below, _, _ = slot
         return [cid, cm, sorted((below, cm & ~below))]
 
     for X in graphs:
@@ -188,8 +190,8 @@ def test_check_mode_catches_drifted_carried_slot(monkeypatch):
         if not planted:
             carried = [c for c in X2.copies if c.id in self.copy_masks()]
             eid = carried[0].edge_ids[0]
-            cid, cm, below, ancestors = X2.edge_slots()[eid]
-            X2.edge_slots()[eid] = (cid, cm, cm, ancestors)
+            cid, cm, below, bit, up = X2.edge_slots()[eid]
+            X2.edge_slots()[eid] = (cid, cm, cm, bit, up)
             planted.append(eid)
         return X2, z
 
@@ -200,8 +202,58 @@ def test_check_mode_catches_drifted_carried_slot(monkeypatch):
     assert planted == [2]
     details = exc.value.details
     assert details["edge"] == 2
-    assert details["carried"][2] == [0, details["fresh"][1]]
+    assert details["carried"][2] == details["fresh"][1]  # sides 0 and the copy
     assert details["fresh"][:2] == details["carried"][:2]
+
+
+def test_check_mode_catches_bad_shape_template(monkeypatch):
+    """The first graph walks one copy per shape and reads the slots of the
+    other copies of that shape off the walk.  One wrong below mask in the
+    first shape's walk (the other side of the edge at position 0) reaches
+    every copy of that shape; check mode compares the slots with a walk
+    of every copy before the first step and names the template's edge."""
+    inst, sol = frac_point(0)
+    X0 = hyperlp.blowup_from_solution(inst, sol)
+    first = next(c for c in X0.copies
+                 if sum(d.shape == c.shape for d in X0.copies) > 1)
+    walk, planted = hyperlp.BlowupGraph._walk, []
+
+    def wrong(X, copy):
+        cm, rows = walk(X, copy)
+        if copy.shape == first.shape and not planted:
+            below, bit, up = rows[0]
+            rows[0] = (cm & ~below, bit, up)
+            planted.append(copy.edge_ids[0])
+        return cm, rows
+
+    monkeypatch.setattr(hyperlp.BlowupGraph, "_walk", wrong)
+    with pytest.raises(contract_alg.InvariantViolation,
+                       match="carried slot of edge %d diverged" % first.edge_ids[0]) as exc:
+        contract_alg.run_from_solution(inst, sol, check=True)
+    assert planted == [first.edge_ids[0]]
+    details = exc.value.details
+    assert details["edge"] == first.edge_ids[0]
+    assert details["carried"][2] == details["fresh"][1] & ~details["fresh"][2]
+    assert details["carried"][3:] == details["fresh"][3:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+@example(5, 2)
+@example(17, 3)
+def test_k_restricted_bounds(seed, k):
+    """With components of at most k terminals the LP value lp_k is at
+    least lp, and it is the LP over the components of the unrestricted
+    enumeration with at most k terminals; the certificate chain
+    tree N <= Phi <= ln4 N lp_k holds exactly, with check=True."""
+    inst = generate_random(4 + seed % 2, 2 + seed % 3, 0.5, seed=seed)
+    tree, cert = contract_alg.run(inst, k=k, check=True)
+    comps = enumerate_components(inst)
+    lp = hyperlp.solve_lp_exact(inst, comps).objective
+    small = [c for c in comps if len(c.terminals) <= k]
+    assert lp <= cert["lp_value"] == hyperlp.solve_lp_exact(inst, small).objective
+    assert tree.cost * cert["N"] <= cert["phi_initial"]
+    assert cert["phi_initial"] <= LN4_UPPER * cert["N"] * cert["lp_value"]
 
 
 def test_check_mode_recomputes_weights(monkeypatch):

@@ -204,7 +204,8 @@ def _capped_bound(X, Q, ground, w):
     ground set, with the tight closure of Q it caps the copies by."""
     tight = contract_alg._tight_masks(X)
     S = contract_alg._tight_closure(X, tight, X.term_mask(Q))
-    top = contract_alg._CappedTops(X, removal_matroid.weight_order(ground, w), w)
+    order = removal_matroid.weight_order(ground, w)
+    top = contract_alg._CappedTops(X, order, w, splitting._ranks(X, order))
     return contract_alg._score_bound(top, X.N, Q, S, 0), S
 
 

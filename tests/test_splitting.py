@@ -1,3 +1,5 @@
+from operator import attrgetter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -262,3 +264,21 @@ def test_map_back_prunes_on_frac_points(monkeypatch):
         assert N > 1
         assert tree.cost * N <= phi <= LN4_UPPER * N * cert["lp_value"]
     assert sum(cuts) > 0
+
+
+def test_witness_sets_per_shape_match_per_copy():
+    """Witness sets walked once per copy shape and cleanup pattern equal
+    those walked copy by copy, for splitting sets that split copies of
+    one shape differently (the random rule)."""
+    mixed = 0
+    for seed in range(4):
+        inst, sol = frac_point(seed)
+        X = hyperlp.blowup_from_solution(inst, sol)
+        K = splitting.splitting_set(X, "random", seed=seed).K
+        patterns = {}
+        for c in X.copies:
+            patterns.setdefault(c.shape, set()).add(tuple(e in K for e in c.edge_ids))
+        mixed += sum(len(p) > 1 for p in patterns.values())
+        assert (splitting.witness_sets(X, K, attrgetter("shape"))
+                == splitting.witness_sets(X, K, attrgetter("id")))
+    assert mixed > 0
