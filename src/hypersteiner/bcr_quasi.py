@@ -214,7 +214,14 @@ def natural_decomposition(sol, check=False):
 
     Requires an optimal BCR point on a preprocessed quasi-bipartite
     instance (no terminal-terminal edges).  With check=True the capacity
-    vector is re-separated after every transfer step."""
+    vector is re-separated after every transfer step.
+
+    One pass over the Steiner centres peels each star until it is
+    empty, and no star it has emptied regains capacity: `relocate_root`
+    reverses flow only on arcs with positive capacity (hub arcs join
+    terminals, never a centre), and a peel at u changes only arcs at u.
+    So after the pass every arc at a centre is 0, and, with no
+    terminal-terminal edge, every arc."""
     inst = sol.instance
     R = inst.terminals
     for (u, v) in inst.costs:
@@ -224,47 +231,42 @@ def natural_decomposition(sol, check=False):
     weights = {}
     cap = 4 * len(inst.costs) * len(inst.costs) + 16
     steps = 0
-    centers = sorted(v for v in inst.vertices if v not in R)
-    done = False
-    while not done:
-        done = True
-        for u in centers:
-            while True:
-                star = sorted(s for s, _ in inst.neighbors(u)
-                              if sol.x.get((s, u), R0) > 0 or sol.x.get((u, s), R0) > 0)
-                if not star:
-                    break
-                done = False
-                steps += 1
-                if steps > cap:
-                    raise DecompositionError("transfer loop exceeded step bound",
-                                             {"steps": steps})
-                r = min(star, key=lambda s: (inst.costs[edge_key(u, s)], s))
-                sol = relocate_root(sol, r, weights)
-                inflow = [s for s in star if s != r and sol.x.get((s, u), R0) > 0]
-                H = [(u, r)] + [(s, u) for s in inflow]
-                eps = min(sol.x.get(a, R0) for a in H)
-                if eps <= 0:
-                    raise DecompositionError(
-                        "star with stuck capacity (non-optimal or non-basic input?)",
-                        {"center": u, "root": r, "H": H,
-                         "caps": {a: sol.x.get(a, R0) for a in H}})
-                if not inflow:
-                    raise DecompositionError(
-                        "outgoing star capacity with no incoming flow",
-                        {"center": u, "root": r, "cap": sol.x.get((u, r), R0)})
-                terms = frozenset([r] + inflow)
-                edges = tuple(sorted(edge_key(u, s) for s in [r] + inflow))
-                comp = Component(terms, edges,
-                                 sum((inst.costs[e] for e in edges), R0))
-                weights[comp] = weights.get(comp, R0) + eps
-                x2 = dict(sol.x)
-                for a in H:
-                    x2[a] -= eps
-                sol = BcrSolution(inst, r, x2)
-                if check and not _check_transfer_feasible(sol, weights):
-                    raise DecompositionError("capacity vector lost BCR feasibility",
-                                             {"center": u, "eps": eps})
+    for u in sorted(v for v in inst.vertices if v not in R):
+        while True:
+            star = sorted(s for s, _ in inst.neighbors(u)
+                          if sol.x.get((s, u), R0) > 0 or sol.x.get((u, s), R0) > 0)
+            if not star:
+                break
+            steps += 1
+            if steps > cap:
+                raise DecompositionError("transfer loop exceeded step bound",
+                                         {"steps": steps})
+            r = min(star, key=lambda s: (inst.costs[edge_key(u, s)], s))
+            sol = relocate_root(sol, r, weights)
+            inflow = [s for s in star if s != r and sol.x.get((s, u), R0) > 0]
+            H = [(u, r)] + [(s, u) for s in inflow]
+            eps = min(sol.x.get(a, R0) for a in H)
+            if eps <= 0:
+                raise DecompositionError(
+                    "star with stuck capacity (non-optimal or non-basic input?)",
+                    {"center": u, "root": r, "H": H,
+                     "caps": {a: sol.x.get(a, R0) for a in H}})
+            if not inflow:
+                raise DecompositionError(
+                    "outgoing star capacity with no incoming flow",
+                    {"center": u, "root": r, "cap": sol.x.get((u, r), R0)})
+            terms = frozenset([r] + inflow)
+            edges = tuple(sorted(edge_key(u, s) for s in [r] + inflow))
+            comp = Component(terms, edges,
+                             sum((inst.costs[e] for e in edges), R0))
+            weights[comp] = weights.get(comp, R0) + eps
+            x2 = dict(sol.x)
+            for a in H:
+                x2[a] -= eps
+            sol = BcrSolution(inst, r, x2)
+            if check and not _check_transfer_feasible(sol, weights):
+                raise DecompositionError("capacity vector lost BCR feasibility",
+                                         {"center": u, "eps": eps})
     if any(v > 0 for v in sol.x.values()):
         raise DecompositionError("positive capacity left outside all stars",
                                  {"x": sol.x})

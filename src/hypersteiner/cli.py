@@ -308,6 +308,7 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
+    comp_mod.require_enumerable(args.terminals)  # before generating anything
     rows = []
     bound = Rat(73, 60) if args.strategy == "quasi" else LN4_UPPER
     for i in range(args.instances):

@@ -204,6 +204,14 @@ def min_component_cost(inst, terminal_subset, return_tree=False):
     return (cost, tree(len(opt) - 1)) if return_tree else cost
 
 
+def require_enumerable(r):
+    """Refuse r terminals above FULL_ENUM_TERMINAL_CAP with a ValueError."""
+    if r > FULL_ENUM_TERMINAL_CAP:
+        raise ValueError("too many terminals for component enumeration: %d > "
+                         "cap %d; a component size bound (--k) does not lift "
+                         "the cap" % (r, FULL_ENUM_TERMINAL_CAP))
+
+
 def enumerate_components(inst, max_size=None):
     """All candidate full components over terminal subsets of size 2..max_size.
 
@@ -216,10 +224,7 @@ def enumerate_components(inst, max_size=None):
         max_size = len(R)
     if not (2 <= max_size <= len(R)):
         raise ValueError("component size bound must be in [2, |R|]")
-    if len(R) > FULL_ENUM_TERMINAL_CAP:
-        raise ValueError("too many terminals for component enumeration: %d > "
-                         "cap %d; a component size bound (--k) does not lift "
-                         "the cap" % (len(R), FULL_ENUM_TERMINAL_CAP))
+    require_enumerable(len(R))
     L, kept, opt, tree = _dw_pass(inst, R, max_size)
     out = []
     for mask in sorted(kept, key=lambda m: (m.bit_count(), m)):

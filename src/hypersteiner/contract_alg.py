@@ -7,22 +7,27 @@ iteration:
   1. picks the piece Q maximizing w(B^Q)/N - cost(Q), where B^Q is a
      greedy max-weight basis of the removable-set matroid of Q's
      terminals restricted to K (a nonnegative maximum always exists);
-  2. removes B^Q together with F = {cleanup e | W(e) subset of B^Q} and
-     contracts Q's terminals to a fresh terminal, in one graph operation
-     (BlowupGraph.contract), and carries the splitting state over:
-     K - B^Q and witnesses W(e) - B^Q (SplittingState.contracted);
-  3. adds the source-graph edges of Q to the output tree.
+  2. adds the source-graph edges of Q to the output tree;
+  3. removes B^Q together with F = {cleanup e | W(e) subset of B^Q} and
+     contracts Q's terminals to a fresh terminal in one call of
+     SplittingState.contracted: its scan of the witness sets decides F,
+     it contracts the graph (BlowupGraph.contract) and carries the
+     splitting state over, K - B^Q and witnesses W(e) - B^Q, returning
+     the new state with F and the fresh terminal.
 
 The potential Phi = sum c(e) H(|W(e)|) drops by at least w(B^Q) per
 iteration, which telescopes to: output cost <= Phi_initial / N.
 
 A step walks only the copies it cuts.  The contracted graph carries
 each other copy's terminal mask and edge slots (BlowupGraph.contract),
-the splitting state each copy's cost and each core edge's rank in its
-copy (`selection`; a copy a step leaves whole keeps its witness sets,
-hence its weights), so grouping and capping read no copy's edges; check
-mode compares all of it with the same data built copy by copy, before
-the first step and after every step (`_check_carried`).
+and the splitting state each copy's cost (`selection`; a copy a step
+leaves whole keeps its witness sets, hence its weights), so grouping
+reads no copy's edges; each core edge's rank in its copy is counted per
+step off the slots.  Check mode compares all of it with the same data
+built copy by copy, before the first step and after every step
+(`_check_carried`).  `run_from_solution` holds the state, the tree edges
+and the log; a step takes and returns values (`select_component`,
+`contract_step`).
 
 The loop runs on the splitting state's integers (costs, weights and Phi
 times its scale D).  A piece's score is the integer
@@ -67,22 +72,6 @@ class InvariantViolation(AssertionError):
         self.details = details or {}
 
 
-class AlgorithmState:
-    """State of one contraction run: the splitting state of the current
-    blowup graph, the output edges so far and the iteration log."""
-
-    __slots__ = ("split", "tree_edges", "log", "check")
-
-    def __init__(self, split, check=False):
-        self.split = split
-        self.tree_edges = set()
-        self.log = []
-        self.check = check
-
-    def done(self):
-        return len(self.split.X.R) <= 1
-
-
 def _score_bound(top, N, T, S, cost):
     """Upper bound on the integer score of a piece with terminals T,
     tight closure S and integer cost: `top` (a `_CappedTops`) sums the
@@ -95,8 +84,9 @@ class _CappedTops(dict):
     """(S, k) -> the sum of the k largest weights of K taken with at most
     (|S cap P| - 1)+ edges from each copy P, filled on first use; with
     fewer edges allowed than k, the sum of them all.  Built per step from
-    the state's `selection` and each edge's copy mask (`edge_slots`): an
-    edge is allowed iff its rank is below its copy's cap."""
+    the state's `selection` and the mask of each edge's copy (`edge_slots`,
+    `copy_masks`): an edge is allowed iff its rank is below its copy's
+    cap."""
 
     __slots__ = ("w", "rank", "masks", "pcm1")
 
@@ -105,8 +95,8 @@ class _CappedTops(dict):
         n = len(order)
         self.w = list(map(w.__getitem__, order))
         self.rank = np.fromiter(map(rank.__getitem__, order), np.int64, n)
-        slots = map(X.edge_slots().__getitem__, order)
-        self.masks = np.fromiter(map(itemgetter(1), slots), np.int64, n)
+        copies = map(itemgetter(0), map(X.edge_slots().__getitem__, order))
+        self.masks = np.fromiter(map(X.copy_masks().__getitem__, copies), np.int64, n)
         self.pcm1 = pcm1_table(len(X.terminal_order))
 
     def __missing__(self, key):
@@ -145,7 +135,7 @@ def terminal_groups(X, copy_cost):
     return groups
 
 
-def select_component(state):
+def select_component(split, check):
     """(Q copy, basis) maximizing w(B^Q)/N - cost(Q), ties to the smaller
     copy id.
 
@@ -159,7 +149,6 @@ def select_component(state):
     the groups the bound skipped and each score is asserted at most its
     bound, and each group's basis is ranked again on a full slack
     table."""
-    split = state.split
     X = split.X
     N, w = X.N, split.w
     order, ranks, copy_cost = split.selection()
@@ -177,7 +166,7 @@ def select_component(state):
     for neg_bound, cid, T, S, c, copy in visits:
         bound = -neg_bound
         beaten = best is not None and (bound, -cid) <= best[:2]
-        if beaten and not state.check:
+        if beaten and not check:
             break
         M = RemovalMatroid(X, T, groundset=split.K)
         B = greedy_max_weight_basis(M, w, order)
@@ -186,14 +175,14 @@ def select_component(state):
                 "ground set is rank deficient: %d < %d" % (len(B), M.full_rank),
                 {"terminals": sorted(T), "basis_size": len(B),
                  "full_rank": M.full_rank})
-        if state.check and M.rank(B) != M.full_rank:
+        if check and M.rank(B) != M.full_rank:
             rank = M.rank(B)
             raise InvariantViolation(
                 "greedy basis for terminals %s has rank %d < %d on a full "
                 "slack table" % (sorted(T), rank, M.full_rank),
                 {"terminals": sorted(T), "rank": rank, "full_rank": M.full_rank})
         score = sum(w[e] for e in B) - N * c
-        if state.check and score > bound:
+        if check and score > bound:
             raise InvariantViolation(
                 "score %s of terminals %s above its bound %s"
                 % (score, sorted(T), bound),
@@ -212,39 +201,30 @@ def select_component(state):
     return copy, B
 
 
-def contract_step(state, Q, B):
-    """Apply one contraction with basis B at piece Q to state."""
-    split = state.split
-    X = split.X
+def contract_step(split, Q, B, check):
+    """One contraction with basis B at piece Q: (the splitting state of
+    (X - B - F)/Q, the step's log entry)."""
     D = split.scale.D
-    B = frozenset(B)
-    F = frozenset(e for e, W in split.witness.items() if W <= B)
-    wB = sum(split.w[e] for e in B)
-    for e in Q.edge_ids:
-        orig = X.edges[e].orig
-        if orig is not None:
-            state.tree_edges.add(orig)
-    TQ = X.copy_terminals(Q)
+    TQ = split.X.copy_terminals(Q)
     try:
-        X2, z = X.contract(B | F, TQ)
-        state.split = split.contracted(X2, B)
+        new, F, z = split.contracted(B, TQ)
     except ValueError as exc:  # SplittingError included
         raise InvariantViolation(str(exc)) from None
-    phi = state.split.phi
-    if split.phi - phi < wB:
+    wB = sum(split.w[e] for e in B)
+    if split.phi - new.phi < wB:
         raise InvariantViolation(
             "potential dropped by %s < basis weight %s"
-            % (Rat(split.phi - phi, D), Rat(wB, D)),
+            % (Rat(split.phi - new.phi, D), Rat(wB, D)),
             {"terminals": sorted(TQ), "phi_before": Rat(split.phi, D),
-             "phi_after": Rat(phi, D), "basis_weight": Rat(wB, D)})
-    state.log.append({
+             "phi_after": Rat(new.phi, D), "basis_weight": Rat(wB, D)})
+    if check:
+        _full_check(new)
+    return new, {
         "terminals": sorted(TQ), "new_terminal": z,
-        "component_cost": Rat(split.selection()[2][Q.id], D),
+        "component_cost": Rat(split.copy_cost[Q.id], D),
         "basis_size": len(B), "basis_weight": Rat(wB, D),
-        "cleaned": len(F), "phi": Rat(phi, D),
-    })
-    if state.check:
-        _full_check(state.split)
+        "cleaned": len(F), "phi": Rat(new.phi, D),
+    }
 
 
 def _full_check(split):
@@ -323,21 +303,24 @@ def run_from_solution(instance, sol, strategy="dp", seed=0, check=False,
     """Contraction loop for any feasible fractional solution (the LP
     optimum or a hand-built feasible point)."""
     X0 = blowup_from_solution(instance, sol)
-    state = AlgorithmState(_split.splitting_set(X0, strategy, seed), check=check)
+    split = _split.splitting_set(X0, strategy, seed)
     if check:
-        _full_check(state.split)
-    phi0 = state.split.potential
-    guard = len(state.split.K) + 1
-    while not state.done():
+        _full_check(split)
+    phi0 = split.potential
+    tree_edges, log = set(), []
+    guard = len(split.K) + 1
+    while len(split.X.R) > 1:
         guard -= 1
         if guard < 0:
             raise InvariantViolation("contraction loop failed to terminate")
-        Q, B = select_component(state)
-        contract_step(state, Q, B)
-    total_q = sum((entry["component_cost"] for entry in state.log), R0)
+        Q, B = select_component(split, check)
+        tree_edges.update(split.X.edges[e].orig for e in Q.edge_ids)
+        split, entry = contract_step(split, Q, B, check)
+        log.append(entry)
+    total_q = sum((entry["component_cost"] for entry in log), R0)
     if total_q * X0.N > phi0:
         raise InvariantViolation("contracted cost exceeds potential bound")
-    tree = _prune_to_tree(instance, state.tree_edges)
+    tree = _prune_to_tree(instance, tree_edges)
     if tree.cost > total_q:
         raise InvariantViolation("pruning increased cost")
     cert = {
@@ -347,7 +330,7 @@ def run_from_solution(instance, sol, strategy="dp", seed=0, check=False,
         "phi_over_N": phi0 / X0.N,
         "contracted_cost": total_q,
         "tree_cost": tree.cost,
-        "iterations": state.log,
+        "iterations": log,
         "strategy": strategy,
         "components": n_components,
     }

@@ -115,7 +115,6 @@ class BlowupGraph:
         self._table = None
         self._masks = None
         self._slots = None
-        self.pieces = ()  # the copies `contract` cut out to make this graph
 
     def fresh(self):
         """The same graph with no derived table built or carried."""
@@ -182,12 +181,12 @@ class BlowupGraph:
         return [(tuple(verts[r]), tuple(eids[r])) for r in sorted(verts)]
 
     def edge_slots(self):
-        """Edge id -> (copy id, terminal mask of that copy, terminal mask
-        below the edge, the edge's position bit, the bits of its ancestor
-        edges), positions and bits counted in the copy's `edge_ids`, with
-        each copy rooted at the first end of its first edge (renaming to z
-        keeps that end's place); built on first use, one walk per shape,
-        or carried by `contract`.
+        """Edge id -> (copy id, terminal mask below the edge, the edge's
+        position bit, the bits of its ancestor edges), positions and bits
+        counted in the copy's `edge_ids`, with each copy rooted at the
+        first end of its first edge (renaming to z keeps that end's
+        place); built on first use, one walk per shape, or carried by
+        `contract`.  The copy's own mask is its entry in `copy_masks`.
 
         Under a set C of the copy's edges removed, the piece holding an
         edge e outside C has the terminal mask: the copy's mask, AND
@@ -205,13 +204,12 @@ class BlowupGraph:
         for copy in copies:
             if key(copy) not in walks:
                 walks[key(copy)] = self._walk(copy)
-            cm, rows = walks[key(copy)]
-            slots.update(zip(copy.edge_ids, [(copy.id, cm) + row for row in rows]))
+            slots.update(zip(copy.edge_ids, [(copy.id,) + row for row in walks[key(copy)]]))
         return slots
 
     def _walk(self, copy):
-        """(terminal mask, [(below, bit, ancestor bits)] by position) of one
-        copy, by one `instance.orient` from the root `edge_slots` names."""
+        """[(below, bit, ancestor bits)] by position in one copy, by one
+        `instance.orient` from the root `edge_slots` names."""
         tidx = self._tidx
         pos = {eid: i for i, eid in enumerate(copy.edge_ids)}
         root = self.edges[copy.edge_ids[0]].u
@@ -225,7 +223,7 @@ class BlowupGraph:
             p, eid = parent[v]
             up[v] = up[p] | 1 << pos[eid]
             rows[pos[eid]] = (below[v], 1 << pos[eid], up[p])
-        return below[root], rows
+        return rows
 
     def slack_table(self, F=frozenset()):
         """numpy int64 vector of h(S) over all 2^|R| terminal masks (entry 0
@@ -274,12 +272,14 @@ class BlowupGraph:
         terminal class TQ to one fresh terminal z.  Copies F leaves alone
         keep their id and shape; pieces take fresh ids; a copy or piece
         holding a terminal of TQ gets the shape ("z", shape, z) and may
-        not hold two (true after a basis removal).  Returns (graph, z).
+        not hold two (true after a basis removal).  Returns (graph, z,
+        the pieces as copies of the graph).
 
         Only the pieces are walked for the new graph's edge slots and
-        masked; every other copy carries its terminal mask and slots over,
-        remapped through one `_Remap` (module docstring).  The tree, copy
-        id, walk root and ancestor edges of such a copy do not change."""
+        masked; every other copy carries its slots over with their below
+        masks remapped, and its terminal mask, remapped once, through one
+        `_Remap` (module docstring).  The tree, copy id, walk root and
+        ancestor edges of such a copy do not change."""
         F, TQ = frozenset(F), frozenset(TQ)
         if len(TQ) < 2 or not TQ <= self.R:
             raise ValueError("need >= 2 existing terminals to contract")
@@ -309,15 +309,14 @@ class BlowupGraph:
                          z + 1, self._next_eid, cid)
         remap = _Remap(self.term_mask(TQ), len(X2.terminal_order))
         masks, slots = self.copy_masks(), self.edge_slots()
-        X2.pieces = tuple(pieces)
         X2._slots = X2.walk_slots(pieces, attrgetter("id"))
         X2._masks = {c.id: remap[masks[c.id]] for c in carried}
         X2._masks.update((p.id, X2.term_mask(p.vertices)) for p in pieces)
         for c in carried:
             for eid in c.edge_ids:
-                ci, cm, below, bit, up = slots[eid]
-                X2._slots[eid] = (ci, remap[cm], remap[below], bit, up)
-        return X2, z
+                ci, below, bit, up = slots[eid]
+                X2._slots[eid] = (ci, remap[below], bit, up)
+        return X2, z, pieces
 
 
 def _renamed(copy, TQ, z, edges):
@@ -416,17 +415,12 @@ FULL_ENUM_CAP = 12
 
 
 def _lp_rows(components, terminal_order, masks):
-    rows = []
-    rhs = []
-    cmasks = [c.bitmask(terminal_order) for c in components]
-    for m in masks:
-        row = []
-        for cm in cmasks:
-            inter = bin(m & cm).count("1")
-            row.append(Rat(max(inter - 1, 0)))
-        rows.append(row)
-        rhs.append(Rat(bin(m).count("1") - 1))
-    return rows, rhs
+    """The subset rows of the terminal masks in `masks`, as Python ints
+    read off `pcm1_table`: (|S cap C| - 1)+ per component C, and the
+    right-hand sides |S| - 1 (every S is nonempty)."""
+    pcm1 = pcm1_table(len(terminal_order))
+    cmasks = np.array([c.bitmask(terminal_order) for c in components], dtype=np.int64)
+    return [pcm1[m & cmasks].tolist() for m in masks], pcm1[list(masks)].tolist()
 
 
 def solve_lp_exact(instance, components):
@@ -466,8 +460,8 @@ def _solve_rows(instance, components, masks):
     R = sorted(instance.terminals)
     rows, rhs = _lp_rows(components, R, masks)
     c = [comp.cost for comp in components]
-    eq_row = [[Rat(len(comp.terminals) - 1) for comp in components]]
-    x, _ = solve_lp(c, rows, rhs, eq_row, [Rat(len(R) - 1)])
+    eq_row = [[len(comp.terminals) - 1 for comp in components]]
+    x, _ = solve_lp(c, rows, rhs, eq_row, [len(R) - 1])
     vals = {comp: xi for comp, xi in zip(components, x) if xi != 0}
     return FractionalSolution(instance.terminals, vals)
 

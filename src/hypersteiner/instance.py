@@ -231,14 +231,14 @@ def parse_stp(text):
     if not saw_terminals:
         raise STPParseError(0, "missing Terminals section")
     touched = {v for e in costs for v in e}
-    if nodes is None:
-        nodes = max(touched, default=0)
-    elif nodes > len(touched):
-        # some vertex 1..nodes would be isolated; refuse before building
-        # a vertex set of that size
-        raise STPParseError(nodes_line, "Nodes %d exceeds the %d vertices the "
-                            "edges touch" % (nodes, len(touched)))
-    vertices = set(range(1, nodes + 1)) | touched
+    top = max(touched, default=0) if nodes is None else nodes
+    if top > len(touched):
+        # some vertex 1..top would be isolated; refuse before building a
+        # vertex set of that size
+        what = "Nodes %d" % top if nodes_line else "vertex id %d with no Nodes line" % top
+        raise STPParseError(nodes_line or 0, "%s exceeds the %d vertices the "
+                            "edges touch" % (what, len(touched)))
+    vertices = set(range(1, top + 1)) | touched
     try:
         return SteinerInstance(vertices, costs, terminals)
     except ValueError as exc:

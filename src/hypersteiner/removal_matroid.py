@@ -75,15 +75,16 @@ def greedy_max_weight_basis(M, w, order=None):
 
     The excess h(S) - |B| of X - B is kept on Q's supersets, with the
     least tight set S* (excess 0; module docstring).  An edge e whose
-    piece splits into sides m1 and m2 (`BlowupGraph.edge_slots`) is
-    dependent if a side holds no terminal, independent without a scan
-    if Q meets both sides (then every superset does and no excess
-    moves), and otherwise independent iff S* meets both sides.  Only
-    that last kind of accept updates the excesses, and S* with them."""
+    piece splits into sides m1 and m2 (`BlowupGraph.edge_slots` and
+    `copy_masks`) is dependent if a side holds no terminal, independent
+    without a scan if Q meets both sides (then every superset does and
+    no excess moves), and otherwise independent iff S* meets both
+    sides.  Only that last kind of accept updates the excesses, and S*
+    with them."""
     X = M.X
     if order is None:
         order = weight_order(M.groundset, w)
-    slots = X.edge_slots()
+    slots, copy_masks = X.edge_slots(), X.copy_masks()
     q = X.term_mask(M.Q)
     masks = M.supersets.tolist()
     excess = X.slack_table()[M.supersets].tolist()
@@ -93,7 +94,8 @@ def greedy_max_weight_basis(M, w, order=None):
     for e in order:
         if len(B) == M.full_rank:
             break
-        ci, piece, below, bit, up = slots[e]
+        ci, below, bit, up = slots[e]
+        piece = copy_masks[ci]
         for fbit, fbelow in cuts.get(ci, ()):
             piece &= fbelow if fbit & up else ~fbelow
         m1, m2 = piece & below, piece & ~below

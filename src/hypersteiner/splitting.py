@@ -24,9 +24,10 @@ per-node choices.  Only the random rule, whose expectation bound holds
 on degree-3 trees, runs on binarize(X) and is carried back by map_back.
 
 A SplittingState holds K, its witnesses, weights and potential; the
-contraction loop carries one, shrinking it after each step
-(SplittingState.contracted, which updates only the witness sets, weight
-shares and potential terms the step's basis reaches).  It computes on
+contraction loop carries one, and each step is one call of
+SplittingState.contracted: it decides the cleanup edges the step's basis
+orphans, contracts the graph, and updates only the witness sets, weight
+shares and potential terms the basis reaches.  It computes on
 integers: with one Scale D = L * lcm(1..m), L the lcm of the edge-cost
 denominators and m the largest edge count of any copy, every c(e),
 every share c(f)/|W(f)|, every w(e) and Phi is an integer multiple of
@@ -105,11 +106,12 @@ class SplittingState:
 
     def selection(self):
         """(order, rank, copy_cost): K by `weight_order`, core id -> its rank
-        there among its copy's core edges, copy id -> integer cost."""
+        there among its copy's core edges, copy id -> integer cost; the
+        order and ranks built on first use, the costs with the first state
+        (`_state`) and carried by `contracted`."""
         if self.order is None:
             self.order = weight_order(self.K, self.w)
             self.rank = _ranks(self.X, self.order)
-            self.copy_cost = _costs(self.X.copies, self.scale.cost)
         return self.order, self.rank, self.copy_cost
 
     @property
@@ -121,39 +123,36 @@ class SplittingState:
     def potential(self):
         return Rat(self.phi, self.scale.D)
 
-    def contracted(self, X2, B):
-        """State on X2 = (X - B - F)/Q, F the cleanup edges whose witnesses
-        lie in B: K - B, and W(e) - B on the cleanup edges left in X2.
-        A witness set that misses B is kept as it is; the weights and Phi
-        move only by the terms of B's edges and of the cleanup edges whose
-        witness set shrank or that X2 dropped.  Of `selection`, the order is
-        sorted again; ranks and costs are new only for `X2.pieces`."""
+    def contracted(self, B, TQ):
+        """One contraction step, basis B at the terminals TQ: (state on
+        X2 = (X - B - F)/Q, F, z), F the cleanup edges whose witness sets
+        lie in B, decided in the one scan of the witness sets, and z the
+        fresh terminal of `BlowupGraph.contract`.  A witness set that misses
+        B is kept as it is; the weights and Phi move only by the terms of
+        B's edges and of the cleanup edges F drops or whose witness set
+        shrank.  Of `selection`, only the pieces' copy costs are new."""
         scale = self.scale
         cost = scale.cost
         w = {e: v for e, v in self.w.items() if e not in B}
         phi = self.phi - sum(cost[e] for e in B)
-        witness = {}
+        witness, F = {}, set()
         for f, W in self.witness.items():
-            if f in X2.edges and W.isdisjoint(B):
+            if W.isdisjoint(B):
                 witness[f] = W
                 continue
             phi -= _cleanup_term(scale, f, len(W))
-            if f not in X2.edges:
-                continue  # W(f) lies in B, and so do its shares
+            if W <= B:
+                F.add(f)  # f leaves with B, and so do its shares
+                continue
             W2 = witness[f] = W - B
-            if not W2:
-                raise SplittingError("cleanup edge %d lost all witnesses" % f)
             phi += _cleanup_term(scale, f, len(W2))
             moved = exact_div(cost[f], len(W2)) - exact_div(cost[f], len(W))
             for e in W2:
                 w[e] += moved
+        X2, z, pieces = self.X.contract(B | F, TQ)
         new = SplittingState(X2, self.K - B, witness, scale, w, phi)
-        _, rank, copy_cost = self.selection()
-        new.order = weight_order(new.K, w)
-        pieces = {e for p in X2.pieces for e in p.edge_ids}
-        new.rank = {**rank, **_ranks(X2, filter(pieces.__contains__, new.order))}
-        new.copy_cost = {**copy_cost, **_costs(X2.pieces, cost)}
-        return new
+        new.copy_cost = {**self.copy_cost, **_costs(pieces, cost)}
+        return new, F, z
 
 
 def _ranks(X, order):
@@ -194,6 +193,7 @@ def _state(X, K, scale):
            + sum(_cleanup_term(scale, f, len(W)) for f, W in witness.items()))
     state = SplittingState(X, K, witness, scale,
                            core_weights(scale.cost, K, witness), phi)
+    state.copy_cost = _costs(X.copies, scale.cost)
     assert sum(state.w.values()) == sum(state.scale.cost.values()), \
         "weight conservation failed"
     return state

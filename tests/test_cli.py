@@ -115,6 +115,19 @@ def test_bench_deterministic(capsys):
     assert out1 == out2
 
 
+def test_bench_refuses_too_many_terminals_before_generating(capsys, monkeypatch):
+    # 17 terminals are above the enumeration cap: refused before any
+    # instance is generated, with enumerate_components' message
+    calls = []
+    monkeypatch.setattr(cli.inst_mod, "generate_random",
+                        lambda *args, **kwargs: calls.append(args))
+    code = cli.main(["bench", "--terminals", "17"])
+    captured = capsys.readouterr()
+    assert code == 2 and calls == [] and captured.out == ""
+    assert captured.err.startswith(
+        "error: too many terminals for component enumeration: 17 > cap 16")
+
+
 def test_usage_error_exit_2():
     proc = subprocess.run([sys.executable, "-m", "hypersteiner", "--bogus"],
                           capture_output=True)
@@ -197,7 +210,7 @@ def test_contraction_failure_exits_1(capsys, monkeypatch):
     # itself fails: an internal invariant (exit 1), not a usage error
     select = contract_alg.select_component
     monkeypatch.setattr(contract_alg, "select_component",
-                        lambda state: (select(state)[0], frozenset()))
+                        lambda split, check: (select(split, check)[0], frozenset()))
     g17 = pathlib.Path(__file__).resolve().parent / "golden" / "g17.stp"
     code = cli.main(["run", str(g17), "--check"])
     captured = capsys.readouterr()

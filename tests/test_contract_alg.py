@@ -94,14 +94,16 @@ def test_check_mode_catches_bad_subtree_mask(monkeypatch):
     instead, so the greedy takes a dependent edge for terminals [1, 3]."""
     inst, sol = mixed_hypertree_point(1, 3)
     X = hyperlp.blowup_from_solution(inst, sol)
-    assert X.edge_slots()[6][1:3] == (X.term_mask([1, 3, 4]), X.term_mask([4]))
+    assert X.copy_masks()[X.edge_slots()[6][0]] == X.term_mask([1, 3, 4])
+    assert X.edge_slots()[6][1] == X.term_mask([4])
     slots = hyperlp.BlowupGraph.edge_slots
 
     def corrupted(X):
         table = slots(X)
         if 6 in table:
-            ci, cm, below, bit, up = table[6]
-            table[6] = (ci, cm, cm & -cm, bit, up)
+            ci, below, bit, up = table[6]
+            cm = X.copy_masks()[ci]
+            table[6] = (ci, cm & -cm, bit, up)
         return table
 
     monkeypatch.setattr(hyperlp.BlowupGraph, "edge_slots", corrupted)
@@ -123,7 +125,7 @@ def test_carried_data_matches_fresh_build(monkeypatch):
     seen, checked = [], []
     select, check = contract_alg.select_component, contract_alg._check_carried
     monkeypatch.setattr(contract_alg, "select_component",
-                        lambda state: seen.append(state.split) or select(state))
+                        lambda split, check: seen.append(split) or select(split, check))
     monkeypatch.setattr(contract_alg, "_check_carried",
                         lambda split: checked.append(split.X) or check(split))
     for seed in range(4):
@@ -147,7 +149,7 @@ def test_carried_slots_cover_every_edge(monkeypatch):
     """Without check mode, which reads every slot, each graph of four
     frac-contract runs holds exactly one edge slot per edge, and each
     matches a fresh walk as `_check_carried` compares them: copy id, copy
-    mask and the unordered pair of side masks."""
+    mask (from `copy_masks`) and the unordered pair of side masks."""
     graphs = []
     blowup, contract = contract_alg.blowup_from_solution, hyperlp.BlowupGraph.contract
 
@@ -156,9 +158,9 @@ def test_carried_slots_cover_every_edge(monkeypatch):
         return graphs[-1]
 
     def kept_contract(X, F, TQ):
-        X2, z = contract(X, F, TQ)
+        X2, z, pieces = contract(X, F, TQ)
         graphs.append(X2)
-        return X2, z
+        return X2, z, pieces
 
     monkeypatch.setattr(contract_alg, "blowup_from_solution", kept_blowup)
     monkeypatch.setattr(hyperlp.BlowupGraph, "contract", kept_contract)
@@ -166,15 +168,17 @@ def test_carried_slots_cover_every_edge(monkeypatch):
         contract_alg.run_from_solution(*frac_point(seed))
     assert len(graphs) > 8 and sum(len(X.R) == 1 for X in graphs) == 4
 
-    def summary(slot):
-        cid, cm, below, _, _ = slot
+    def summary(slot, masks):
+        cid, below, _, _ = slot
+        cm = masks[cid]
         return [cid, cm, sorted((below, cm & ~below))]
 
     for X in graphs:
         slots, fresh = X.edge_slots(), X.fresh().edge_slots()
+        masks, fresh_masks = X.copy_masks(), X.fresh().copy_masks()
         assert slots.keys() == X.edges.keys()
         for eid in X.edges:
-            assert summary(slots[eid]) == summary(fresh[eid])
+            assert summary(slots[eid], masks) == summary(fresh[eid], fresh_masks)
 
 
 def test_check_mode_catches_drifted_carried_slot(monkeypatch):
@@ -186,24 +190,26 @@ def test_check_mode_catches_drifted_carried_slot(monkeypatch):
     planted = []
 
     def drifting(self, F, TQ):
-        X2, z = contract(self, F, TQ)
+        X2, z, pieces = contract(self, F, TQ)
         if not planted:
             carried = [c for c in X2.copies if c.id in self.copy_masks()]
             eid = carried[0].edge_ids[0]
-            cid, cm, below, bit, up = X2.edge_slots()[eid]
-            X2.edge_slots()[eid] = (cid, cm, cm, bit, up)
-            planted.append(eid)
-        return X2, z
+            cid, below, bit, up = X2.edge_slots()[eid]
+            cm = X2.copy_masks()[cid]
+            X2.edge_slots()[eid] = (cid, cm, bit, up)
+            planted.append((eid, cm))
+        return X2, z, pieces
 
     monkeypatch.setattr(hyperlp.BlowupGraph, "contract", drifting)
     with pytest.raises(contract_alg.InvariantViolation,
                        match="carried slot of edge 2 diverged") as exc:
         contract_alg.run_from_solution(inst, sol, check=True)
-    assert planted == [2]
+    [(eid, cm)] = planted
+    assert eid == 2
     details = exc.value.details
     assert details["edge"] == 2
-    assert details["carried"][2] == details["fresh"][1]  # sides 0 and the copy
-    assert details["fresh"][:2] == details["carried"][:2]
+    assert details["carried"][1] == cm  # sides 0 and the copy
+    assert details["fresh"][:1] == details["carried"][:1]
 
 
 def test_check_mode_catches_bad_shape_template(monkeypatch):
@@ -219,12 +225,12 @@ def test_check_mode_catches_bad_shape_template(monkeypatch):
     walk, planted = hyperlp.BlowupGraph._walk, []
 
     def wrong(X, copy):
-        cm, rows = walk(X, copy)
+        rows = walk(X, copy)
         if copy.shape == first.shape and not planted:
             below, bit, up = rows[0]
-            rows[0] = (cm & ~below, bit, up)
+            rows[0] = (X.term_mask(copy.vertices) & ~below, bit, up)
             planted.append(copy.edge_ids[0])
-        return cm, rows
+        return rows
 
     monkeypatch.setattr(hyperlp.BlowupGraph, "_walk", wrong)
     with pytest.raises(contract_alg.InvariantViolation,
@@ -233,8 +239,8 @@ def test_check_mode_catches_bad_shape_template(monkeypatch):
     assert planted == [first.edge_ids[0]]
     details = exc.value.details
     assert details["edge"] == first.edge_ids[0]
-    assert details["carried"][2] == details["fresh"][1] & ~details["fresh"][2]
-    assert details["carried"][3:] == details["fresh"][3:]
+    assert details["carried"][1] == X0.copy_masks()[first.id] & ~details["fresh"][1]
+    assert details["carried"][2:] == details["fresh"][2:]
 
 
 @settings(max_examples=30, deadline=None)
@@ -266,13 +272,13 @@ def test_check_mode_recomputes_weights(monkeypatch):
     inst, sol = mixed_hypertree_point(1, 3)
     contracted = splitting.SplittingState.contracted
 
-    def shifted(self, X2, B):
-        new = contracted(self, X2, B)
+    def shifted(self, B, TQ):
+        new, F, z = contracted(self, B, TQ)
         if len(new.w) >= 2:
             b, a = sorted(new.w)[-2:]
             new.w[a] += 1
             new.w[b] -= 1
-        return new
+        return new, F, z
 
     monkeypatch.setattr(splitting.SplittingState, "contracted", shifted)
     with pytest.raises(contract_alg.InvariantViolation,
@@ -330,10 +336,10 @@ def test_potential_drop_check_carries_values(monkeypatch):
     inst, sol = mixed_hypertree_point(1, 3)
     contracted = splitting.SplittingState.contracted
 
-    def no_drop(self, X2, B):
-        new = contracted(self, X2, B)
+    def no_drop(self, B, TQ):
+        new, F, z = contracted(self, B, TQ)
         new.phi = self.phi
-        return new
+        return new, F, z
 
     monkeypatch.setattr(splitting.SplittingState, "contracted", no_drop)
     with pytest.raises(contract_alg.InvariantViolation,

@@ -28,6 +28,23 @@ def test_modes_agree(seed):
     assert full.objective == cuts.objective
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_lp_rows_match_set_intersections(seed):
+    """The subset rows read off the (popcount - 1)+ table equal
+    (|S cap C| - 1)+ and |S| - 1 computed on sets, as Python ints, for
+    every nonempty terminal set S and every component C."""
+    inst = generate_random(4 + seed % 2, 2, 0.5, seed=seed)
+    comps = enumerate_components(inst)
+    R = sorted(inst.terminals)
+    masks = range(1, 1 << len(R))
+    rows, rhs = hyperlp._lp_rows(comps, R, masks)
+    for m, row, b in zip(masks, rows, rhs):
+        S = {t for i, t in enumerate(R) if m >> i & 1}
+        assert b == len(S) - 1 and type(b) is int
+        assert row == [max(len(S & c.terminals) - 1, 0) for c in comps]
+        assert all(type(a) is int for a in row)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_solution_feasible_and_tight(seed):
@@ -92,7 +109,7 @@ def _paths_blowup():
 def test_contract_keeps_ids_and_shapes():
     X = _paths_blowup()
     # drop 1-5 (copy 0) and 8-3 (copy 3), then contract terminals 1 and 3
-    X2, z = X.contract({0, 7}, {1, 3})
+    X2, z, pieces = X.contract({0, 7}, {1, 3})
     assert z == 9 and X2.R == {2, 4, 9}
     # copy 0 splits into {1} and 2-5, which takes id 4; copy 1 keeps its
     # id and holds 3; copy 2 is untouched; copy 3 splits into 1-8, which
@@ -103,12 +120,13 @@ def test_contract_keeps_ids_and_shapes():
                    (2, (2, 4, 7), (4, 5), ("path", 2)),
                    (5, (8, 9), (6,), ("z", ("p", 5), 9))]
     assert X2.copies[2] is X.copies[2]
+    assert pieces == [X2.copies[0], X2.copies[3]]
     assert sorted(X2.edges) == [1, 2, 3, 4, 5, 6]
     assert (X2.edges[2].u, X2.edges[2].v) == (9, 6)
     assert (X2.edges[6].u, X2.edges[6].v) == (9, 8)
     assert X2.edges[4] is X.edges[4]
     # removing every edge leaves no copy and an infeasible graph
-    X3, _ = X.contract(X.edges, {1, 2})
+    X3, _, _ = X.contract(X.edges, {1, 2})
     assert X3.copies == [] and not X3.is_feasible()
 
 

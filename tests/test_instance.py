@@ -136,6 +136,18 @@ def test_bad_nodes_line_names_its_line(nodes_line):
     assert str(exc.value).startswith("line 2: ")
 
 
+def test_far_vertex_id_without_nodes_line_refused_before_building():
+    # with no Nodes line the ids 1..max id would be the vertices; a far id
+    # leaves most of them isolated, refused without building that set
+    text = ("SECTION Graph\nE 1 2 1\nE 2 1000000000 1\nEND\n"
+            "SECTION Terminals\nT 1\nT 2\nEND\nEOF\n")
+    with pytest.raises(STPParseError) as exc:
+        parse_stp(text)
+    assert exc.value.lineno == 0
+    assert str(exc.value) == ("line 0: vertex id 1000000000 with no Nodes line "
+                              "exceeds the 3 vertices the edges touch")
+
+
 _NUM = st.integers(0, 50)
 _COST = st.one_of(
     _NUM.map(str),

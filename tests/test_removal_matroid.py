@@ -132,9 +132,9 @@ def visited_graphs():
     seen = []
     select = contract_alg.select_component
 
-    def recording(state):
-        seen.append((state.split.X, state.split.K, state.split.w))
-        return select(state)
+    def recording(split, check):
+        seen.append((split.X, split.K, split.w))
+        return select(split, check)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contract_alg, "select_component", recording)
