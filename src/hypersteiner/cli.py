@@ -187,11 +187,12 @@ def cmd_decompose(args):
 
 
 def _seed_range(spec):
-    if ".." in spec:
-        a, b = spec.split("..")
-        seeds = range(int(a), int(b) + 1)
-    else:
-        seeds = range(0, int(spec))
+    bounds = spec.split("..")
+    try:
+        a, b = map(int, bounds) if len(bounds) == 2 else (0, int(spec) - 1)
+    except ValueError:
+        raise ValueError("--seed takes A or A..B (integers), got %r" % spec) from None
+    seeds = range(a, b + 1)
     if not seeds:
         raise ValueError("--seed %s selects no seeds" % spec)
     return seeds
@@ -308,6 +309,8 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
+    if args.instances < 1:
+        raise ValueError("--instances must be >= 1, got %d" % args.instances)
     comp_mod.require_enumerable(args.terminals)  # before generating anything
     rows = []
     bound = Rat(73, 60) if args.strategy == "quasi" else LN4_UPPER

@@ -18,16 +18,17 @@ iteration:
 The potential Phi = sum c(e) H(|W(e)|) drops by at least w(B^Q) per
 iteration, which telescopes to: output cost <= Phi_initial / N.
 
-A step walks only the copies it cuts.  The contracted graph carries
-each other copy's terminal mask and edge slots (BlowupGraph.contract),
-and the splitting state each copy's cost (`selection`; a copy a step
-leaves whole keeps its witness sets, hence its weights), so grouping
-reads no copy's edges; each core edge's rank in its copy is counted per
-step off the slots.  Check mode compares all of it with the same data
-built copy by copy, before the first step and after every step
-(`_check_carried`).  `run_from_solution` holds the state, the tree edges
-and the log; a step takes and returns values (`select_component`,
-`contract_step`).
+A step walks only the copies it cuts and renames nothing: a copy it
+leaves whole is the same object in the contracted graph, which carries
+its terminal mask and edge slots (BlowupGraph.contract), and the
+splitting state carries each copy's cost (a copy a step leaves whole
+keeps its witness sets, hence its weights), so grouping reads no copy's
+edges.  Each step sorts K by weight once, and `_CappedTops` counts each
+core edge's rank in its copy off that order.  Check mode compares all
+of it with the same data built copy by copy, before the first step and
+after every step (`_check_carried`).  `run_from_solution` holds the
+state, the tree edges and the log; a step takes and returns values
+(`select_component`, `contract_step`).
 
 The loop runs on the splitting state's integers (costs, weights and Phi
 times its scale D).  A piece's score is the integer
@@ -51,7 +52,7 @@ converted at that boundary.
 """
 
 from functools import reduce
-from operator import and_, attrgetter, itemgetter
+from operator import and_, attrgetter
 
 import numpy as np
 
@@ -84,18 +85,22 @@ class _CappedTops(dict):
     """(S, k) -> the sum of the k largest weights of K taken with at most
     (|S cap P| - 1)+ edges from each copy P, filled on first use; with
     fewer edges allowed than k, the sum of them all.  Built per step from
-    the state's `selection` and the mask of each edge's copy (`edge_slots`,
-    `copy_masks`): an edge is allowed iff its rank is below its copy's
-    cap."""
+    K in `weight_order` and the copy of each edge (`edge_slots`): an edge
+    is allowed iff its rank among its copy's edges in the order, counted
+    in one pass, is below its copy's cap (read off `copy_masks`)."""
 
     __slots__ = ("w", "rank", "masks", "pcm1")
 
-    def __init__(self, X, order, w, rank):
+    def __init__(self, X, order, w):
         super().__init__()
         n = len(order)
         self.w = list(map(w.__getitem__, order))
-        self.rank = np.fromiter(map(rank.__getitem__, order), np.int64, n)
-        copies = map(itemgetter(0), map(X.edge_slots().__getitem__, order))
+        slots, seen, rank = X.edge_slots(), {}, []
+        copies = [slots[e][0] for e in order]
+        for ci in copies:
+            seen[ci] = seen.get(ci, -1) + 1
+            rank.append(seen[ci])
+        self.rank = np.array(rank, dtype=np.int64)
         self.masks = np.fromiter(map(X.copy_masks().__getitem__, copies), np.int64, n)
         self.pcm1 = pcm1_table(len(X.terminal_order))
 
@@ -151,11 +156,11 @@ def select_component(split, check):
     table."""
     X = split.X
     N, w = X.N, split.w
-    order, ranks, copy_cost = split.selection()
-    groups = terminal_groups(X, copy_cost)
+    groups = terminal_groups(X, split.copy_cost)
     if not groups:
         raise InvariantViolation("no piece with two terminals but |R| > 1")
-    top = _CappedTops(X, order, w, ranks)
+    order = weight_order(split.K, w)
+    top = _CappedTops(X, order, w)
     tight = _tight_masks(X)
     visits = []
     for m, (c, copy) in groups.items():
@@ -235,7 +240,7 @@ def _full_check(split):
     # no pendant non-terminals
     for copy in X.copies:
         for v, nb in X.adjacency(copy.vertices, copy.edge_ids).items():
-            if len(nb) == 1 and v not in X.R:
+            if len(nb) == 1 and v not in X.terminal_of:
                 raise InvariantViolation("pendant non-terminal %d survived "
                                          "cleanup in copy %d" % (v, copy.id))
     if len(X.R) > 1:
@@ -261,8 +266,9 @@ def _full_check(split):
 def _check_carried(split):
     """The data built once per shape or carried through contraction
     against the same data built copy by copy: each edge's slot (walk roots
-    agree), each copy's mask, the slack table of X, and the state's weight
-    order, ranks and terminal groups with copy costs."""
+    agree), each copy's mask, the slack table of X, the ranks the score
+    bound counts off the weight order of K against a sort per copy, and
+    the terminal groups with the state's copy costs."""
     X, K, w, cost = split.X, split.K, split.w, split.scale.cost
     slots = X.edge_slots()
     fresh = X.walk_slots(X.copies, attrgetter("id"))
@@ -275,13 +281,13 @@ def _check_carried(split):
         raise InvariantViolation("carried copy masks diverged")
     if X.slack_table().tolist() != X.fresh().slack_table().tolist():
         raise InvariantViolation("carried slack table of X diverged")
-    order, rank, copy_cost = split.selection()
+    order = weight_order(K, w)
     ranks = {e: i for c in X.copies
              for i, e in enumerate(weight_order(K.intersection(c.edge_ids), w))}
-    if order != weight_order(K, w) or {e: rank[e] for e in K} != ranks:
-        raise InvariantViolation("carried weight order or ranks diverged")
+    if dict(zip(order, _CappedTops(X, order, w).rank.tolist())) != ranks:
+        raise InvariantViolation("counted ranks diverged from a sort per copy")
     costs = {c.id: sum(cost[e] for e in c.edge_ids) for c in X.copies}
-    if terminal_groups(X, copy_cost) != terminal_groups(X, costs):
+    if terminal_groups(X, split.copy_cost) != terminal_groups(X, costs):
         raise InvariantViolation("carried terminal groups diverged")
 
 

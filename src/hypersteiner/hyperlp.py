@@ -28,12 +28,15 @@ the copy's edge ids, from which the two sides of its piece follow by mask
 arithmetic; copies of one shape align by position (`BlowupCopy`), so the
 first graph walks (`instance.orient`) one copy per shape.
 
-Contraction carries this derived data.  A copy that F leaves whole is
-the same tree after (X - F)/Q, with its edge ids in the same order and
-at most one terminal renamed to z; only its terminal masks move to the
-new bit positions (`_Remap`).  So `contract` walks only the pieces F
-cuts, and the contracted graph takes every other copy's terminal mask
-and edge slots from the graph before it, remapped.
+Contraction renames no vertex.  Every graph maps each terminal vertex
+its copies hold to the terminal it now stands for (`terminal_of`); a
+contraction step moves the members of Q to z in that map, and every
+question of the form "is v a terminal, and which one" reads it.  So a
+copy that F leaves whole is the very same object after (X - F)/Q, edges
+included; only its terminal masks move to the new bit positions
+(`_Remap`).  `contract` walks only the pieces F cuts, and the contracted
+graph takes every other copy's terminal mask and edge slots from the
+graph before it, remapped.
 """
 
 import functools
@@ -80,8 +83,10 @@ class BlowupCopy:
         self.id = cid
         self.edge_ids = tuple(edge_ids)
         self.vertices = tuple(sorted(vertices))
-        # copies of one shape hold the same terminals, and their vertices
-        # (sorted) and edge ids align by position: the same tree, renamed
+        # copies of one shape hold the same terminal vertices, and their
+        # vertices (sorted) and edge ids align by position: the same tree
+        # with other Steiner vertices; a copy keeps its shape through
+        # every contraction that leaves it whole
         self.shape = shape
 
     def __repr__(self):
@@ -92,8 +97,11 @@ class BlowupGraph:
     """Immutable by convention: `contract`, the one operation of a
     contraction step, returns a new graph.
 
-    Edge and copy ids are stable across it, so external bookkeeping
-    (splitting sets, witness sets) survives.  Each graph has three
+    Edge, copy and vertex ids are stable across it, so external
+    bookkeeping (splitting sets, witness sets) survives.  `terminal_of`
+    maps every terminal vertex of the copies to the terminal of R it
+    stands for: the identity on R, and a contraction moves the
+    contracted terminals to z.  Each graph has three
     derived tables, built on first use or carried from the graph it was
     contracted from: the terminal mask of every copy (`copy_masks`), from
     which the slack table of X (`slack_table()`) is summed, and the
@@ -102,33 +110,35 @@ class BlowupGraph:
     builds all three again, for check mode to compare against.
     """
 
-    def __init__(self, N, terminals, copies, edges, next_vid, next_eid, next_cid):
+    def __init__(self, N, terminals, copies, edges, next_vid, next_eid, next_cid,
+                 terminal_of=None):
         self.N = N
         self.R = frozenset(terminals)
         self.copies = list(copies)
-        self.edges = dict(edges)          # id -> BlowupEdge
+        self.edges = edges                # id -> BlowupEdge, held, not copied
         self._next_vid = next_vid
         self._next_eid = next_eid
         self._next_cid = next_cid
+        self.terminal_of = terminal_of or {t: t for t in self.R}
         self.terminal_order = tuple(sorted(self.R))
-        self._tidx = {t: i for i, t in enumerate(self.terminal_order)}
+        tidx = {t: i for i, t in enumerate(self.terminal_order)}
+        self._tbit = {v: 1 << tidx[t] for v, t in self.terminal_of.items()}
         self._table = None
         self._masks = None
         self._slots = None
 
     def fresh(self):
         """The same graph with no derived table built or carried."""
-        return BlowupGraph(self.N, self.R, self.copies, self.edges,
-                           self._next_vid, self._next_eid, self._next_cid)
+        return BlowupGraph(self.N, self.R, self.copies, self.edges, self._next_vid,
+                           self._next_eid, self._next_cid, self.terminal_of)
 
     # ---- basic accessors -------------------------------------------------
 
     def term_mask(self, vs):
+        """Terminal mask of the terminals the vertices `vs` stand for."""
         m = 0
         for v in vs:
-            i = self._tidx.get(v)
-            if i is not None:
-                m |= 1 << i
+            m |= self._tbit.get(v, 0)
         return m
 
     def mask_terms(self, mask):
@@ -141,7 +151,14 @@ class BlowupGraph:
         return np.flatnonzero(masks & q == q)
 
     def copy_terminals(self, copy):
-        return frozenset(v for v in copy.vertices if v in self.R)
+        """The terminals of R the copy's terminal vertices stand for."""
+        return frozenset(self.terminal_of[v] for v in copy.vertices if v in self.terminal_of)
+
+    def terminal_vertices(self, copy):
+        """The copy's terminal vertices, ordered by the terminal each
+        stands for."""
+        return sorted((v for v in copy.vertices if v in self.terminal_of),
+                      key=self.terminal_of.__getitem__)
 
     def copy_masks(self):
         """Copy id -> terminal mask of the copy; built on first use."""
@@ -165,7 +182,9 @@ class BlowupGraph:
 
     def copy_pieces(self, copy, removed):
         """Split one copy by removing `removed` (edge ids); returns a list of
-        (vertex tuple, edge id tuple) pieces, single vertices included."""
+        (vertex tuple, edge id tuple) pieces, single vertices included, in
+        the order of what their union-find representatives stand for
+        (`terminal_of`, else the vertex itself)."""
         uf = UnionFind(copy.vertices)
         kept = [e for e in copy.edge_ids if e not in removed]
         for eid in kept:
@@ -178,15 +197,17 @@ class BlowupGraph:
         eids = {r: [] for r in verts}
         for eid in kept:
             eids[find(self.edges[eid].u)].append(eid)
-        return [(tuple(verts[r]), tuple(eids[r])) for r in sorted(verts)]
+        stand = self.terminal_of.get
+        return [(tuple(verts[r]), tuple(eids[r]))
+                for r in sorted(verts, key=lambda r: stand(r, r))]
 
     def edge_slots(self):
         """Edge id -> (copy id, terminal mask below the edge, the edge's
         position bit, the bits of its ancestor edges), positions and bits
         counted in the copy's `edge_ids`, with each copy rooted at the
-        first end of its first edge (renaming to z keeps that end's
-        place); built on first use, one walk per shape, or carried by
-        `contract`.  The copy's own mask is its entry in `copy_masks`.
+        first end of its first edge; built on first use, one walk per
+        shape, or carried by `contract`.  The copy's own mask is its
+        entry in `copy_masks`.
 
         Under a set C of the copy's edges removed, the piece holding an
         edge e outside C has the terminal mask: the copy's mask, AND
@@ -210,11 +231,11 @@ class BlowupGraph:
     def _walk(self, copy):
         """[(below, bit, ancestor bits)] by position in one copy, by one
         `instance.orient` from the root `edge_slots` names."""
-        tidx = self._tidx
+        tbit = self._tbit
         pos = {eid: i for i, eid in enumerate(copy.edge_ids)}
         root = self.edges[copy.edge_ids[0]].u
         order, parent = orient(self.adjacency(copy.vertices, copy.edge_ids), [root])
-        below = {v: 1 << tidx[v] if v in tidx else 0 for v in order}
+        below = {v: tbit.get(v, 0) for v in order}
         for v in reversed(order[1:]):
             below[parent[v][0]] |= below[v]
         up = {root: 0}
@@ -269,17 +290,17 @@ class BlowupGraph:
     def contract(self, F, TQ):
         """(X - F)/Q: drop the edges F, split the copies they touch into
         their pieces (pieces with no edges vanish) and identify the
-        terminal class TQ to one fresh terminal z.  Copies F leaves alone
-        keep their id and shape; pieces take fresh ids; a copy or piece
-        holding a terminal of TQ gets the shape ("z", shape, z) and may
-        not hold two (true after a basis removal).  Returns (graph, z,
-        the pieces as copies of the graph).
+        terminal class TQ to one fresh terminal z, in `terminal_of`: no
+        vertex is renamed.  Copies F leaves alone stay the same objects,
+        their edges too; pieces take fresh ids and shapes.  No copy or
+        piece may hold two terminals of TQ (true after a basis removal),
+        read off its terminal mask.  Returns (graph, z, the pieces as
+        copies of the graph).
 
         Only the pieces are walked for the new graph's edge slots and
         masked; every other copy carries its slots over with their below
         masks remapped, and its terminal mask, remapped once, through one
-        `_Remap` (module docstring).  The tree, copy id, walk root and
-        ancestor edges of such a copy do not change."""
+        `_Remap` (module docstring)."""
         F, TQ = frozenset(F), frozenset(TQ)
         if len(TQ) < 2 or not TQ <= self.R:
             raise ValueError("need >= 2 existing terminals to contract")
@@ -290,8 +311,6 @@ class BlowupGraph:
         copies, carried, pieces = [], [], []
         for copy in self.copies:
             if F.isdisjoint(copy.edge_ids):
-                if not TQ.isdisjoint(copy.vertices):
-                    copy = _renamed(copy, TQ, z, edges)
                 copies.append(copy)
                 carried.append(copy)
                 continue
@@ -301,40 +320,27 @@ class BlowupGraph:
                 if eids:
                     p = BlowupCopy(cid, eids, vs, ("p", cid))
                     cid += 1
-                    if not TQ.isdisjoint(vs):
-                        p = _renamed(p, TQ, z, edges)
                     copies.append(p)
                     pieces.append(p)
+        tq, slots = self.term_mask(TQ), self.edge_slots()
+        masks = {**self.copy_masks(), **{p.id: self.term_mask(p.vertices) for p in pieces}}
+        for c in copies:
+            hits = masks[c.id] & tq
+            if hits & (hits - 1):
+                raise ValueError("copy %d spans several terminals of the "
+                                 "contracted component" % c.id)
+        terminal_of = {v: z if t in TQ else t for v, t in self.terminal_of.items()}
+        terminal_of[z] = z
         X2 = BlowupGraph(self.N, (self.R - TQ) | {z}, copies, edges,
-                         z + 1, self._next_eid, cid)
-        remap = _Remap(self.term_mask(TQ), len(X2.terminal_order))
-        masks, slots = self.copy_masks(), self.edge_slots()
+                         z + 1, self._next_eid, cid, terminal_of)
+        remap = _Remap(tq, len(X2.terminal_order))
+        X2._masks = {c.id: remap[masks[c.id]] for c in copies}
         X2._slots = X2.walk_slots(pieces, attrgetter("id"))
-        X2._masks = {c.id: remap[masks[c.id]] for c in carried}
-        X2._masks.update((p.id, X2.term_mask(p.vertices)) for p in pieces)
         for c in carried:
             for eid in c.edge_ids:
                 ci, below, bit, up = slots[eid]
                 X2._slots[eid] = (ci, remap[below], bit, up)
         return X2, z, pieces
-
-
-def _renamed(copy, TQ, z, edges):
-    """`copy` with its one terminal of TQ renamed to z, in `edges` too."""
-    hits = TQ.intersection(copy.vertices)
-    if len(hits) > 1:
-        raise ValueError("copy %d spans several terminals of the "
-                         "contracted component" % copy.id)
-    (t,) = hits
-    for eid in copy.edge_ids:
-        e = edges[eid]
-        if e.u == t:
-            edges[eid] = BlowupEdge(eid, z, e.v, e.cost, e.orig)
-        elif e.v == t:
-            edges[eid] = BlowupEdge(eid, e.u, z, e.cost, e.orig)
-    vertices = list(copy.vertices)
-    vertices.remove(t)
-    return BlowupCopy(copy.id, copy.edge_ids, vertices + [z], ("z", copy.shape, z))
 
 
 class _Remap(dict):

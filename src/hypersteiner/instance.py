@@ -26,8 +26,9 @@ class UnionFind:
     """Disjoint sets over hashable items, with path halving.
 
     union(u, v) hangs u's root below v's root.  Callers rely on that
-    choice: blowup copies order their pieces by representative, and the
-    ids of split copies follow that order."""
+    choice: blowup copies order their pieces by the terminal their
+    representative stands for (the representative itself if it is no
+    terminal vertex), and the ids of split copies follow that order."""
 
     __slots__ = ("parent",)
 

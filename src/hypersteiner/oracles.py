@@ -217,7 +217,7 @@ def _valid_cleanup_forest(X, copy, keep):
     groups = {}
     for v in copy.vertices:
         groups.setdefault(uf.find(v), []).append(v)
-    return all(sum(1 for v in g if v in X.R) == 1 for g in groups.values())
+    return all(sum(1 for v in g if v in X.terminal_of) == 1 for g in groups.values())
 
 
 def add_component_slack_ok(X, terminals, B):
@@ -294,8 +294,10 @@ def verify_uniform_point(X, K):
 # and a minimizing S is read off the sink side of the min cut.  On X - F
 # it gives the removal-matroid rank r_Q(F).  The gammoid view splits every
 # edge into a node with unit throughput; ranks come out as differences of
-# two max-flow values.  Roots are the smallest vertex id of each piece;
-# min cuts are reported as the unique minimal sink side (reverse residual
+# two max-flow values.  A terminal vertex is the node of the terminal it
+# stands for (`BlowupGraph.terminal_of`), so contracted graphs share
+# their terminals too.  Roots are the piece's smallest node; min cuts are
+# reported as the unique minimal sink side (reverse residual
 # reachability), so results are deterministic.
 
 
@@ -312,8 +314,8 @@ def terminal_loads(X, pieces):
     count = {t: 0 for t in X.R}
     for vs, _ in pieces:
         for v in vs:
-            if v in count:
-                count[v] += 1
+            if v in X.terminal_of:
+                count[X.terminal_of[v]] += 1
     y = {t: count[t] - X.N for t in X.R}
     bad = sorted((t, yv) for t, yv in y.items() if yv < 0)
     if bad:
@@ -338,12 +340,14 @@ def _build_net(X, pieces, y, Q, split_edges=False):
     """Separation network of the pieces, with Q and the sink t feeding the
     super sink.  split_edges turns every piece edge into a unit node."""
     net = FlowNet()
+    stand = X.terminal_of.get
     for vs, eids in pieces:
-        root = min(vs)
-        net.add_arc(SRC, ("v", root), 1)
+        root = min(vs, key=lambda v: stand(v, v))
+        net.add_arc(SRC, ("v", stand(root, root)), 1)
         order, parent = orient(X.adjacency(vs, eids), [root])
         for v in order[1:]:
             u, eid = parent[v]
+            u, v = stand(u, u), stand(v, v)
             if split_edges:
                 net.add_arc(("v", u), ("e", eid), 1)
                 net.add_arc(("e", eid), ("v", v), 1)

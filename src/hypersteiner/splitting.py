@@ -58,7 +58,6 @@ from operator import attrgetter
 from .ratio import Rat, R0, harmonic, lcm_denominators, exact_div, scaled
 from .instance import orient
 from .hyperlp import BlowupGraph, BlowupEdge, BlowupCopy
-from .removal_matroid import weight_order
 
 
 class SplittingError(ValueError):
@@ -90,29 +89,19 @@ class SplittingState:
     `w` (core id -> integer) and `phi` are the weights and Phi times
     scale.D, for the Scale of the blowup graph the first state was
     made for; `weights` and `potential` are the same as exact
-    rationals.  `selection` holds the contraction's data on K."""
+    rationals.  `copy_cost` (copy id -> integer cost) is computed with
+    the first state (`_state`) and carried by `contracted`."""
 
-    __slots__ = ("X", "K", "witness", "scale", "w", "phi", "order", "rank",
-                 "copy_cost")
+    __slots__ = ("X", "K", "witness", "scale", "w", "phi", "copy_cost")
 
-    def __init__(self, X, K, witness, scale, w, phi):
+    def __init__(self, X, K, witness, scale, w, phi, copy_cost):
         self.X = X
         self.K = frozenset(K)
         self.witness = witness   # cleanup edge id -> frozenset of core ids
         self.scale = scale
         self.w = w
         self.phi = phi
-        self.order = self.rank = self.copy_cost = None
-
-    def selection(self):
-        """(order, rank, copy_cost): K by `weight_order`, core id -> its rank
-        there among its copy's core edges, copy id -> integer cost; the
-        order and ranks built on first use, the costs with the first state
-        (`_state`) and carried by `contracted`."""
-        if self.order is None:
-            self.order = weight_order(self.K, self.w)
-            self.rank = _ranks(self.X, self.order)
-        return self.order, self.rank, self.copy_cost
+        self.copy_cost = copy_cost
 
     @property
     def weights(self):
@@ -130,7 +119,7 @@ class SplittingState:
         fresh terminal of `BlowupGraph.contract`.  A witness set that misses
         B is kept as it is; the weights and Phi move only by the terms of
         B's edges and of the cleanup edges F drops or whose witness set
-        shrank.  Of `selection`, only the pieces' copy costs are new."""
+        shrank.  Of the copy costs, only the pieces' are new."""
         scale = self.scale
         cost = scale.cost
         w = {e: v for e, v in self.w.items() if e not in B}
@@ -150,18 +139,8 @@ class SplittingState:
             for e in W2:
                 w[e] += moved
         X2, z, pieces = self.X.contract(B | F, TQ)
-        new = SplittingState(X2, self.K - B, witness, scale, w, phi)
-        new.copy_cost = {**self.copy_cost, **_costs(pieces, cost)}
-        return new, F, z
-
-
-def _ranks(X, order):
-    """Edge id -> its rank in `order` among the edges of its copy."""
-    slots, seen, rank = X.edge_slots(), {}, {}
-    for e in order:
-        ci = slots[e][0]
-        rank[e] = seen[ci] = seen.get(ci, -1) + 1
-    return rank
+        copy_cost = {**self.copy_cost, **_costs(pieces, cost)}
+        return SplittingState(X2, self.K - B, witness, scale, w, phi, copy_cost), F, z
 
 
 def _costs(copies, cost):
@@ -191,9 +170,8 @@ def _state(X, K, scale):
     # Phi = sum over the edges of X of c(e) H(|W(e)|), |W(e)| = 1 on K
     phi = (sum(scale.cost[e] for e in K)
            + sum(_cleanup_term(scale, f, len(W)) for f, W in witness.items()))
-    state = SplittingState(X, K, witness, scale,
-                           core_weights(scale.cost, K, witness), phi)
-    state.copy_cost = _costs(X.copies, scale.cost)
+    state = SplittingState(X, K, witness, scale, core_weights(scale.cost, K, witness),
+                           phi, _costs(X.copies, scale.cost))
     assert sum(state.w.values()) == sum(state.scale.cost.values()), \
         "weight conservation failed"
     return state
@@ -233,7 +211,7 @@ def _copy_witnesses(X, copy, K, witness):
     # terminal per tree iff the walk from the terminals reaches every
     # vertex and there are |V| - |terminals| cleanup edges
     cleanup = [e for e in copy.edge_ids if e not in K]
-    terms = sorted(X.copy_terminals(copy))
+    terms = X.terminal_vertices(copy)
     order, parent = orient(X.adjacency(copy.vertices, cleanup), terms)
     if len(order) < len(copy.vertices):
         raise SplittingError("cleanup piece without terminal in copy %d" % copy.id)
@@ -297,8 +275,7 @@ def quasi_bipartite_splitting_set(X):
 
 
 def _require_star(X, copy):
-    terms = X.copy_terminals(copy)
-    nonterm = [v for v in copy.vertices if v not in terms]
+    nonterm = [v for v in copy.vertices if v not in X.terminal_of]
     if len(copy.edge_ids) == 1 and not nonterm:
         return  # single terminal-terminal edge
     if len(nonterm) != 1:
@@ -330,7 +307,7 @@ def binarize(X):
         aux = []  # zero-cost edges (u, v)
         for v in sorted(copy.vertices):
             inc = sorted(e for _, e in adj[v])
-            if v in X.R or len(inc) <= 3:
+            if v in X.terminal_of or len(inc) <= 3:
                 for e in inc:
                     port[(v, e)] = v
                 vs.add(v)
@@ -360,7 +337,7 @@ def binarize(X):
             eid += 1
         copies.append(BlowupCopy(cid, e_ids, vs, ("b", copy.shape)))
         cid += 1
-    return BlowupGraph(X.N, X.R, copies, edges, vid, eid, cid)
+    return BlowupGraph(X.N, X.R, copies, edges, vid, eid, cid, X.terminal_of)
 
 
 def _children(adj, roots):
@@ -398,7 +375,7 @@ def _random_copy(X, copy, rng):
     core = set(copy.edge_ids)
     for u in copy.vertices:
         kids = children[u]
-        if u not in X.R and kids:
+        if u not in X.terminal_of and kids:
             core.discard(kids[rng.randrange(len(kids))][1])
     return core
 
@@ -443,7 +420,7 @@ def _dp_copy(X, copy, scale):
     copy.edge_ids) of a minimum-potential splitting set of one copy,
     rooted at its smallest terminal."""
     adj = X.adjacency(copy.vertices, copy.edge_ids)
-    terms = sorted(X.copy_terminals(copy))
+    terms = X.terminal_vertices(copy)
     if not terms:
         raise SplittingError("copy %d has no terminals" % copy.id)
     for t in terms:
@@ -457,7 +434,7 @@ def _dp_copy(X, copy, scale):
     def extended(u, eid):
         """(A, B) tables for the edge eid from u's parent to u, with u's
         partial tree = u plus everything below."""
-        if u in X.R:
+        if u in X.terminal_of:
             A, B = dict.fromkeys(range(M + 1), (0, 0)), {}
         else:
             A, B = {}, {0: (0, 0)}
@@ -544,7 +521,7 @@ def map_back(X, Xb, state_b):
          if eid in state_b.K and e.orig is not None}
     for copy in X.copies:
         for u in copy.vertices:
-            if u not in X.R:
+            if u not in X.terminal_of:
                 adj = X.adjacency(copy.vertices, [e for e in copy.edge_ids if e not in K])
                 K.update(eid for _, eid in _terminal_directions(X, adj, u)[1:])
     return compute_witnesses_and_weights(X, K)
@@ -562,6 +539,6 @@ def _terminal_directions(X, adj, u):
         p, eid = parent[v]
         dist[v] = dist[p] + X.edges[eid].cost
         first[v] = eid if p == u else first[p]
-        if v in X.R and (first[v] not in best or dist[v] < best[first[v]]):
+        if v in X.terminal_of and (first[v] not in best or dist[v] < best[first[v]]):
             best[first[v]] = dist[v]
     return sorted((d, eid) for eid, d in best.items())

@@ -32,8 +32,8 @@ MUTANTS = [
      "up[v] = up[p] | 1 << pos[eid]", "up[v] = up[p] | 2 << pos[eid]",
      ["tests/test_contract_alg.py::test_carried_data_matches_fresh_build"]),
     ("piece costs missing an edge", "splitting.py",
-     "new.copy_cost = {**self.copy_cost, **_costs(pieces, cost)}",
-     "new.copy_cost = {**self.copy_cost, **{p.id: sum(cost[e] for e in p.edge_ids[1:])"
+     "copy_cost = {**self.copy_cost, **_costs(pieces, cost)}",
+     "copy_cost = {**self.copy_cost, **{p.id: sum(cost[e] for e in p.edge_ids[1:])"
      " for p in pieces}}",
      ["tests/test_contract_alg.py::test_carried_data_matches_fresh_build"]),
     ("F only where the witnesses lie strictly in B", "splitting.py",
@@ -54,9 +54,13 @@ MUTANTS = [
      "X2._slots[eid] = (ci, below, bit, up)",
      ["tests/test_contract_alg.py::test_carried_data_matches_fresh_build"]),
     ("carried copy masks left unmapped", "hyperlp.py",
-     "X2._masks = {c.id: remap[masks[c.id]] for c in carried}",
-     "X2._masks = {c.id: masks[c.id] for c in carried}",
+     "X2._masks = {c.id: remap[masks[c.id]] for c in copies}",
+     "X2._masks = {c.id: masks[c.id] for c in copies}",
      ["tests/test_contract_alg.py::test_carried_data_matches_fresh_build"]),
+    ("terminal map moves one member of TQ to z", "hyperlp.py",
+     "terminal_of = {v: z if t in TQ else t for v, t in self.terminal_of.items()}",
+     "terminal_of = {v: z if t == min(TQ) else t for v, t in self.terminal_of.items()}",
+     ["tests/test_hyperlp.py::test_contract_keeps_ids_and_shapes"]),
     # the greedy, its bound and the union-find
     ("every cut a non-ancestor in the greedy", "removal_matroid.py",
      "piece &= fbelow if fbit & up else ~fbelow", "piece &= ~fbelow",

@@ -186,6 +186,24 @@ def test_verify_empty_seed_range_exit_2(spec, capsys):
     assert "selects no seeds" in captured.err
 
 
+@pytest.mark.parametrize("spec", ["abc", "1..2..3", "1..x"])
+def test_verify_malformed_seed_exit_2(spec, capsys):
+    code = cli.main(["verify", "separation", "--seed", spec, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --seed takes A or A..B (integers), got %r\n" % spec
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_bench_instances_below_one_exit_2(n, capsys):
+    code = cli.main(["bench", "--instances", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --instances must be >= 1, got %s\n" % n
+
+
 def test_invariant_details_json_on_stderr(qb_file, capsys, monkeypatch):
     def broken(sol, check=False):
         raise bcr_quasi.DecompositionError(

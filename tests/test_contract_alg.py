@@ -130,14 +130,18 @@ def test_carried_data_matches_fresh_build(monkeypatch):
                         lambda split: checked.append(split.X) or check(split))
     for seed in range(4):
         contract_alg.run_from_solution(*frac_point(seed), check=True)
-    assert {c.shape[0] for split in seen for c in split.X.copies} == {"c", "p", "z"}
+    assert {c.shape[0] for split in seen for c in split.X.copies} == {"c", "p"}
+    # some carried copy stands for a contracted terminal
+    assert any(split.X.terminal_of[v] != v for split in seen
+               for c in split.X.copies if c.shape[0] == "c"
+               for v in split.X.terminal_vertices(c))
     # one check per step and one before the first: every graph selected on
     assert len(checked) == len(seen) + 4
     assert sum(split.X in checked for split in seen) == len(seen)
     for split in seen:
         X = split.X
         order = removal_matroid.weight_order(split.K, split.w)
-        for m in contract_alg.terminal_groups(X, split.selection()[2]):
+        for m in contract_alg.terminal_groups(X, split.copy_cost):
             T = X.mask_terms(m)
             bases = [removal_matroid.greedy_max_weight_basis(
                 removal_matroid.RemovalMatroid(Y, T, groundset=split.K), split.w, order)
@@ -179,6 +183,36 @@ def test_carried_slots_cover_every_edge(monkeypatch):
         assert slots.keys() == X.edges.keys()
         for eid in X.edges:
             assert summary(slots[eid], masks) == summary(fresh[eid], fresh_masks)
+
+
+def test_contract_keeps_whole_copies_and_edges(monkeypatch):
+    """A step builds no copy or edge for what it leaves whole: on every
+    step of four frac-contract runs, each copy of the contracted graph
+    that is not a new piece is the parent's copy object, every edge is
+    the parent's edge object, and the copies that hold a contracted
+    terminal are among them."""
+    steps = []
+    contract = hyperlp.BlowupGraph.contract
+
+    def kept_contract(X, F, TQ):
+        X2, z, pieces = contract(X, F, TQ)
+        steps.append((X, X2, pieces, TQ))
+        return X2, z, pieces
+
+    monkeypatch.setattr(hyperlp.BlowupGraph, "contract", kept_contract)
+    for seed in range(4):
+        contract_alg.run_from_solution(*frac_point(seed))
+    holding = 0
+    for X, X2, pieces, TQ in steps:
+        parent = {c.id: c for c in X.copies}
+        new = {p.id for p in pieces}
+        assert new.isdisjoint(parent)
+        for c in X2.copies:
+            if c.id not in new:
+                assert c is parent[c.id]
+                holding += bool(X.copy_terminals(c) & TQ)
+        assert all(X2.edges[e] is X.edges[e] for e in X2.edges)
+    assert holding > 0
 
 
 def test_check_mode_catches_drifted_carried_slot(monkeypatch):

@@ -111,20 +111,33 @@ def test_contract_keeps_ids_and_shapes():
     # drop 1-5 (copy 0) and 8-3 (copy 3), then contract terminals 1 and 3
     X2, z, pieces = X.contract({0, 7}, {1, 3})
     assert z == 9 and X2.R == {2, 4, 9}
+    # no vertex is renamed: 1 and 3 stand for z in the terminal map
+    assert X2.terminal_of == {1: 9, 2: 2, 3: 9, 4: 4, 9: 9}
+    assert X.terminal_of == {1: 1, 2: 2, 3: 3, 4: 4}
     # copy 0 splits into {1} and 2-5, which takes id 4; copy 1 keeps its
-    # id and holds 3; copy 2 is untouched; copy 3 splits into 1-8, which
-    # takes id 5 and holds 1, and {3}; the one-vertex pieces vanish
+    # id, vertices and shape and holds 3; copy 2 is untouched; copy 3
+    # splits into 1-8, which takes id 5 and holds 1, and {3}; the
+    # one-vertex pieces vanish
     got = [(c.id, c.vertices, c.edge_ids, c.shape) for c in X2.copies]
     assert got == [(4, (2, 5), (1,), ("p", 4)),
-                   (1, (4, 6, 9), (2, 3), ("z", ("path", 1), 9)),
+                   (1, (3, 4, 6), (2, 3), ("path", 1)),
                    (2, (2, 4, 7), (4, 5), ("path", 2)),
-                   (5, (8, 9), (6,), ("z", ("p", 5), 9))]
-    assert X2.copies[2] is X.copies[2]
+                   (5, (1, 8), (6,), ("p", 5))]
+    assert X2.copies[1] is X.copies[1] and X2.copies[2] is X.copies[2]
+    assert X2.copy_terminals(X2.copies[1]) == {4, 9}
+    assert X2.copy_terminals(X2.copies[3]) == {9}
+    assert X2.terminal_vertices(X2.copies[1]) == [4, 3]
+    assert X2.copy_masks() == {c.id: X2.term_mask(c.vertices) for c in X2.copies}
+    assert X2.term_mask([3]) == X2.term_mask([1]) == X2.term_mask([9]) == 0b100
     assert pieces == [X2.copies[0], X2.copies[3]]
     assert sorted(X2.edges) == [1, 2, 3, 4, 5, 6]
-    assert (X2.edges[2].u, X2.edges[2].v) == (9, 6)
-    assert (X2.edges[6].u, X2.edges[6].v) == (9, 8)
-    assert X2.edges[4] is X.edges[4]
+    assert (X2.edges[2].u, X2.edges[2].v) == (3, 6)
+    assert (X2.edges[6].u, X2.edges[6].v) == (1, 8)
+    assert all(X2.edges[e] is X.edges[e] for e in X2.edges)
+    # a second step moves every vertex standing for 9 on to the next z
+    X3, z3, _ = X2.contract(set(), {2, 9})
+    assert z3 == 10 and X3.R == {4, 10}
+    assert X3.terminal_of == {1: 10, 2: 10, 3: 10, 4: 4, 9: 10, 10: 10}
     # removing every edge leaves no copy and an infeasible graph
     X3, _, _ = X.contract(X.edges, {1, 2})
     assert X3.copies == [] and not X3.is_feasible()

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from hypersteiner.ratio import Rat
 from hypersteiner.instance import SteinerInstance, generate_random
-from hypersteiner import hyperlp, oracles
+from hypersteiner import contract_alg, hyperlp, oracles
 
-from conftest import fractional_solution_n2, small_blowup
+from conftest import frac_point, fractional_solution_n2, small_blowup
 
 
 def test_exact_two_terminals_is_shortest_path():
@@ -68,6 +68,34 @@ def test_splitting_set_count_matches_matrix_tree(frac_n2):
     edges = [(node[e.u], node[e.v]) for e in X.edges.values()]
     verts = sorted(set(node.values()))
     assert len(Ks) == oracles.spanning_tree_count(verts, edges)
+
+
+def test_flow_minima_match_slack_tables_on_contracted_graphs(monkeypatch):
+    """The separation flow reads terminals through the graph's terminal
+    map: on every graph that four frac-contract runs contract to, where
+    carried copies hold vertices standing for z, the flow's minimum over
+    the supersets of each terminal t, and the set it reports, match the
+    minimum of the slack table over those supersets."""
+    graphs = []
+    contract = hyperlp.BlowupGraph.contract
+
+    def kept_contract(X, F, TQ):
+        out = contract(X, F, TQ)
+        graphs.append(out[0])
+        return out
+
+    monkeypatch.setattr(hyperlp.BlowupGraph, "contract", kept_contract)
+    for seed in range(4):
+        contract_alg.run_from_solution(*frac_point(seed))
+    graphs = [X for X in graphs if len(X.R) > 1]
+    assert any(X.terminal_of[v] != v for X in graphs for c in X.copies
+               for v in X.terminal_vertices(c))
+    for X in graphs:
+        table = X.slack_table()
+        for t in X.terminal_order:
+            low = int(table[X.superset_masks({t})].min())
+            val, S = oracles.min_slack_over_supersets(X, {t})
+            assert val == low and t in S and int(table[X.term_mask(S)]) == low
 
 
 def test_minimal_removal_sizes(frac_n2):

@@ -128,7 +128,8 @@ def test_greedy_basis_on_fractional_points(seed):
 def visited_graphs():
     """(X, K, w) at every selection `run_from_solution` makes on four
     frac-contract points (N = 12, 8 terminals): the initial blowup, then
-    contracted graphs with ("z", ...) copies and split pieces."""
+    contracted graphs with split pieces and carried copies that stand for
+    a contracted terminal."""
     seen = []
     select = contract_alg.select_component
 
@@ -140,7 +141,9 @@ def visited_graphs():
         mp.setattr(contract_alg, "select_component", recording)
         for seed in range(4):
             contract_alg.run_from_solution(*frac_point(seed))
-    assert {c.shape[0] for X, _, _ in seen for c in X.copies} == {"c", "p", "z"}
+    assert {c.shape[0] for X, _, _ in seen for c in X.copies} == {"c", "p"}
+    assert any(X.terminal_of[v] != v for X, _, _ in seen
+               for c in X.copies if c.shape[0] == "c" for v in X.terminal_vertices(c))
     return seen
 
 
@@ -205,7 +208,7 @@ def _capped_bound(X, Q, ground, w):
     tight = contract_alg._tight_masks(X)
     S = contract_alg._tight_closure(X, tight, X.term_mask(Q))
     order = removal_matroid.weight_order(ground, w)
-    top = contract_alg._CappedTops(X, order, w, splitting._ranks(X, order))
+    top = contract_alg._CappedTops(X, order, w)
     return contract_alg._score_bound(top, X.N, Q, S, 0), S
 
 
