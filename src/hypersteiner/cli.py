@@ -7,11 +7,13 @@ All rationals in JSON output are {"num", "den", "decimal"}; output keys
 are sorted, so identical argv + seeds give byte-identical output (bench
 omits wall times unless asked, for the same reason).  Exit codes:
 0 success, 1 violated invariant or failed verification, 2 usage error;
-an exception with a `details` attribute adds one JSON line on stderr.
+an exception with a `details` attribute adds one JSON line on stderr.  A
+closed stdout ends the output, not the command (`_out`).
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -54,12 +56,26 @@ def _solution_json(sol):
     return {"objective": rat_to_json(sol.objective), "components": comps}
 
 
+def _out(text):
+    """Write `text` and a newline to stdout.  When stdout is closed (the
+    reader of a pipe went away), the output ends but the command goes on:
+    stdout is pointed at os.devnull, as Python's `signal` docs advise, so
+    the flush at exit cannot raise again, and the command returns its own
+    exit code with nothing on stderr."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, payload):
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _out(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for k in sorted(payload):
-            print("%s: %s" % (k, json.dumps(payload[k], sort_keys=True)))
+        _out("\n".join("%s: %s" % (k, json.dumps(payload[k], sort_keys=True))
+                       for k in sorted(payload)))
 
 
 def _solve(inst, k):
@@ -339,15 +355,16 @@ def cmd_bench(args):
         cols = ["instance", "lp", "tree", "ratio", "bound", "iterations"]
         if args.timings:
             cols.append("wall_time")
-        print(",".join(cols))
+        lines = [",".join(cols)]
         for r in rows:
             cells = []
             for c in cols:
                 v = r[c]
                 cells.append(str(v["decimal"]) if isinstance(v, dict) else str(v))
-            print(",".join(cells))
+            lines.append(",".join(cells))
+        _out("\n".join(lines))
     else:
-        print(json.dumps(rows, sort_keys=True, indent=2))
+        _out(json.dumps(rows, sort_keys=True, indent=2))
     return 0
 
 

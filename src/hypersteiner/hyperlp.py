@@ -6,6 +6,10 @@ The LP over candidate full components C (variables x_C >= 0):
     s.t. sum x_C (|S cap C| - 1)+  <=  |S| - 1   for all nonempty S subset R
          sum x_C (|C| - 1)          =  |R| - 1
 
+A subset row with no positive coefficient (|S| = 1, or an S that no
+component meets in two terminals) reads 0 <= |S| - 1 and holds for
+every x; the simplex is given only the other rows (`_solve_rows`).
+
 A rational solution x is materialized as a *blowup graph*: N = lcm of the
 denominators, and each component C appears as N*x_C vertex-disjoint tree
 copies whose terminals are shared (identified) across copies.  The slack
@@ -432,10 +436,11 @@ def _lp_rows(components, terminal_order, masks):
 def solve_lp_exact(instance, components):
     """Optimal exact solution of the component LP.
 
-    Up to FULL_ENUM_CAP terminals every subset row (2^|R| - 1 of them) is
-    instantiated at once; above that, `_cutting_planes` starts from the
-    singleton rows plus the full-set row and separates violated subsets
-    off the slack table of the current point's blowup.
+    Up to FULL_ENUM_CAP terminals every subset row with a positive
+    coefficient is instantiated at once (`_solve_rows` drops the
+    all-zero ones); above that, `_cutting_planes` starts from the
+    full-set row and separates violated subsets off the slack table of
+    the current point's blowup.
     """
     if not components:
         raise ValueError("no components to optimize over")
@@ -446,10 +451,11 @@ def solve_lp_exact(instance, components):
 
 
 def _cutting_planes(instance, components):
-    """The component LP by cutting planes: one most-violated subset row
-    is added per round until the optimum of the rows so far is feasible."""
-    r = len(instance.terminals)
-    masks = [1 << i for i in range(r)] + [(1 << r) - 1]
+    """The component LP by cutting planes, from the full-set row alone:
+    one most-violated subset row is added per round until the optimum of
+    the rows so far is feasible.  A singleton row is all zero, and an
+    all-zero row is never violated, so no round needs one."""
+    masks = [(1 << len(instance.terminals)) - 1]
     while True:
         sol = _solve_rows(instance, components, masks)
         viol = _most_violated(instance, sol)
@@ -461,13 +467,28 @@ def _cutting_planes(instance, components):
 
 
 def _solve_rows(instance, components, masks):
-    """Optimum of the component LP restricted to the subset rows `masks`."""
+    """Optimum of the component LP restricted to the subset rows `masks`.
+
+    Rows with no positive coefficient are not passed to the simplex: an
+    |S| = 1 row, or one for an S that no component meets in two
+    terminals.  Dropping them changes no pivot, so x is the one the full
+    tableau gives.  Such a row reads 0 <= |S| - 1 and starts with its
+    slack basic; it is zero in every other column.  A column that enters
+    is then zero in the row, so the row takes no part in a ratio test and
+    no pivot changes it.  Its slack's column stays a unit column with
+    reduced cost 0, so the slack never enters, nor is it picked to pivot
+    out a phase-1 artificial.  Removing the row and its slack column
+    leaves every other entry as it was, and keeps the relative order of
+    the other columns and of the basic variables; so Bland's rule picks
+    the same entering column and the same leaving row at every pivot.
+    """
     from .simplexq import solve_lp
     R = sorted(instance.terminals)
     rows, rhs = _lp_rows(components, R, masks)
+    ub = [(a, b) for a, b in zip(rows, rhs) if any(a)]
     c = [comp.cost for comp in components]
     eq_row = [[len(comp.terminals) - 1 for comp in components]]
-    x, _ = solve_lp(c, rows, rhs, eq_row, [len(R) - 1])
+    x, _ = solve_lp(c, [a for a, _ in ub], [b for _, b in ub], eq_row, [len(R) - 1])
     vals = {comp: xi for comp, xi in zip(components, x) if xi != 0}
     return FractionalSolution(instance.terminals, vals)
 

@@ -78,6 +78,10 @@ MUTANTS = [
     ("map_back cuts only the third direction on", "splitting.py",
      "_terminal_directions(X, adj, u)[1:]", "_terminal_directions(X, adj, u)[2:]",
      ["tests/test_splitting.py::test_map_back_prunes_random_splitting"]),
+    # the exact LP
+    ("all-zero filter drops single-1 rows", "hyperlp.py",
+     "if any(a)]", "if sum(a) > 1]",
+     ["tests/test_hyperlp.py::test_solve_lp_exact_passes_no_all_zero_row[3-0]"]),
     # k-restricted components
     ("components one terminal too large", "components.py",
      "if bits > max_size:", "if bits > max_size + 1:",

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -132,6 +133,28 @@ def test_usage_error_exit_2():
     proc = subprocess.run([sys.executable, "-m", "hypersteiner", "--bogus"],
                           capture_output=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["lp", "STP", "--json"],
+    ["bench", "--instances", "3", "--terminals", "3", "--steiner", "1",
+     "--format", "csv"],
+], ids=["emit", "bench"])
+def test_closed_stdout_keeps_exit_code(argv, stp_file):
+    """A reader that goes away before the command writes ends the output,
+    not the command: exit 0 and nothing on stderr.  The child runs in
+    dev mode, which would print a ResourceWarning for a file left open."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-X", "dev", "-m", "hypersteiner",
+             *[stp_file if a == "STP" else a for a in argv]],
+            stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_identical_argv_byte_identical(stp_file):

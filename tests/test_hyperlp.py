@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypersteiner.ratio import Rat
 from hypersteiner.instance import UnionFind, generate_random
 from hypersteiner.components import enumerate_components
-from hypersteiner import hyperlp, oracles
+from hypersteiner import hyperlp, oracles, simplexq
 
 from conftest import triangle_star_instance, fractional_solution_n2
 
@@ -43,6 +43,68 @@ def test_lp_rows_match_set_intersections(seed):
         assert b == len(S) - 1 and type(b) is int
         assert row == [max(len(S & c.terminals) - 1, 0) for c in comps]
         assert all(type(a) is int for a in row)
+
+
+ROW_INSTANCES = [(r, seed) for r in range(3, 7) for seed in range(3)]
+
+
+def _row_instance(r, seed):
+    inst = generate_random(r, 2 + seed, 0.5, seed=seed)
+    return inst, enumerate_components(inst), sorted(inst.terminals)
+
+
+def _solve_masks(comps, R, masks, drop_zero):
+    """simplexq.solve_lp on the subset rows of `masks`, the all-zero ones
+    included or dropped, plus the equality row."""
+    rows, rhs = hyperlp._lp_rows(comps, R, masks)
+    ub = [(a, b) for a, b in zip(rows, rhs) if any(a) or not drop_zero]
+    return simplexq.solve_lp([c.cost for c in comps], [a for a, _ in ub],
+                             [b for _, b in ub],
+                             [[len(c.terminals) - 1 for c in comps]], [len(R) - 1])
+
+
+@pytest.mark.parametrize("r,seed", ROW_INSTANCES)
+def test_all_zero_rows_are_inert(r, seed, monkeypatch):
+    """A subset row with no positive coefficient changes no pivot: the
+    simplex returns the same x and objective with and without the
+    all-zero rows, on every subset row (the full-subset path) and on the
+    rows of every cutting-plane round, singleton rows included."""
+    inst, comps, R = _row_instance(r, seed)
+    rounds = []
+    solve_rows = hyperlp._solve_rows
+
+    def spy(instance, components, masks):
+        rounds.append(list(masks))
+        return solve_rows(instance, components, masks)
+    monkeypatch.setattr(hyperlp, "_solve_rows", spy)
+    hyperlp._cutting_planes(inst, comps)
+    singletons = [1 << i for i in range(r)]
+    for masks in [range(1, 1 << r)] + [singletons + m for m in rounds]:
+        assert _solve_masks(comps, R, masks, True) == _solve_masks(comps, R, masks, False)
+
+
+@pytest.mark.parametrize("r,seed", ROW_INSTANCES)
+def test_solve_lp_exact_passes_no_all_zero_row(r, seed, monkeypatch):
+    """`solve_lp_exact` hands the simplex exactly the subset rows with a
+    positive coefficient, in mask order: every one of them on the
+    full-subset path, and the full-set row alone in the first
+    cutting-plane round."""
+    inst, comps, R = _row_instance(r, seed)
+    calls = []
+    solve_lp = simplexq.solve_lp
+
+    def spy(c, A_ub, b_ub, A_eq=(), b_eq=()):
+        calls.append(A_ub)
+        return solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+    monkeypatch.setattr(simplexq, "solve_lp", spy)
+    full = hyperlp.solve_lp_exact(inst, comps)
+    rows, _ = hyperlp._lp_rows(comps, R, range(1, 1 << r))
+    assert calls == [[a for a in rows if any(a)]]
+    monkeypatch.setattr(hyperlp, "FULL_ENUM_CAP", 0)
+    cuts = hyperlp.solve_lp_exact(inst, comps)
+    assert calls[1] == hyperlp._lp_rows(comps, R, [(1 << r) - 1])[0]
+    assert all(any(a) for A_ub in calls for a in A_ub)
+    assert cuts.objective == full.objective
 
 
 @settings(max_examples=25, deadline=None)
