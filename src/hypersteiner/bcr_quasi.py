@@ -52,9 +52,6 @@ class BcrSolution:
                              for a, v in self.x.items()), R0)
         self.objective = Rat(objective)
 
-    def undirected_load(self, u, v):
-        return self.x.get((u, v), R0) + self.x.get((v, u), R0)
-
 
 def preprocess_quasi(inst):
     """Split every terminal-terminal edge through a fresh Steiner node,
@@ -86,72 +83,58 @@ def _arcs(inst):
     return out
 
 
-def _flow_value_and_cut(inst, x, s, t):
-    """Max s->t flow under arc capacities x; returns (value, source side)."""
+def _net(x, weights=None):
+    """FlowNet over the arcs of x, plus a hub for each component peeled so
+    far, joined both ways to the component's terminals with throughput =
+    its weight.  Returns the net and the handle of each arc of x."""
     net = FlowNet()
-    for a, v in x.items():
-        if v > 0:
-            net.add_arc(a[0], a[1], v)
+    handles = {a: net.add_arc(a[0], a[1], v) for a, v in x.items()}
+    for i, (comp, w) in enumerate(sorted((weights or {}).items(),
+                                         key=lambda cw: cw[0].edges)):
+        hub = ("hub", i)
+        for t in sorted(comp.terminals):
+            net.add_arc(t, hub, w)
+            net.add_arc(hub, t, w)
+    return net, handles
+
+
+def _flow_value_and_cut(x, s, t):
+    """Max s->t flow under arc capacities x; returns (value, source side)."""
+    net, _ = _net(x)
     return net.max_flow(s, t), net.source_side(s)
 
 
 def solve_bcr(inst, r=None):
     """Exact optimal BcrSolution via cutting planes (basic optimum from
-    the rational simplex)."""
+    the rational simplex).
+
+    A cut is the source side S of a flow below 1 from a terminal to r;
+    its row is the integer row -x(out-arcs of S) <= -1.  The first cuts
+    are the single terminals other than r."""
     if r is None:
         r = min(inst.terminals)
     if r not in inst.terminals:
         raise ValueError("root must be a terminal")
     arcs = _arcs(inst)
-    idx = {a: i for i, a in enumerate(arcs)}
     cost = [inst.costs[edge_key(*a)] for a in arcs]
-    rows = []
-    seen_cuts = set()
-
-    def add_cut(S):
-        S = frozenset(S)
-        if S in seen_cuts:
-            return False
-        seen_cuts.add(S)
-        row = [R0] * len(arcs)
-        for a in arcs:
-            if a[0] in S and a[1] not in S:
-                row[idx[a]] = Rat(-1)
-        rows.append(row)
-        return True
-
-    for t in sorted(inst.terminals):
-        if t != r:
-            add_cut({t})
+    others = sorted(inst.terminals - {r})
+    cuts = {}  # source side -> its row, in the order the cuts are found
+    sides = [frozenset({t}) for t in others]
     while True:
-        xs, obj = solve_lp(cost, rows, [Rat(-1)] * len(rows))
-        x = {a: xs[i] for a, i in idx.items() if xs[i] != 0}
-        new_cuts = 0
-        violated = False
-        for t in sorted(inst.terminals):
-            if t == r:
-                continue
-            val, side = _flow_value_and_cut(inst, x, t, r)
+        for S in sides:
+            if S not in cuts:
+                cuts[S] = [-1 if u in S and v not in S else 0 for u, v in arcs]
+        xs, obj = solve_lp(cost, list(cuts.values()), [-1] * len(cuts))
+        x = {a: v for a, v in zip(arcs, xs) if v != 0}
+        sides = []
+        for t in others:
+            val, side = _flow_value_and_cut(x, t, r)
             if val < 1:
-                violated = True
-                new_cuts += add_cut(side)
-        if not violated:
+                sides.append(frozenset(side))
+        if not sides:
             return BcrSolution(inst, r, x, obj)
-        if new_cuts == 0:
+        if all(S in cuts for S in sides):
             raise AssertionError("cut violated but already present; separation bug")
-
-
-def _hub_arcs(weights):
-    """Arcs through the components peeled so far: each one is a hub of
-    throughput = its weight between its terminals."""
-    arcs = []
-    for i, (comp, w) in enumerate(sorted(weights.items(),
-                                         key=lambda cw: cw[0].edges)):
-        hub = ("hub", i)
-        for t in sorted(comp.terminals):
-            arcs.append((t, hub, w))
-            arcs.append((hub, t, w))
-    return arcs
 
 
 def relocate_root(sol, new_root, weights=None):
@@ -167,12 +150,7 @@ def relocate_root(sol, new_root, weights=None):
         return sol
     if new_root not in sol.instance.terminals:
         raise ValueError("new root must be a terminal")
-    net = FlowNet()
-    handles = {}
-    for a, v in sol.x.items():
-        handles[a] = net.add_arc(a[0], a[1], v)
-    for u, v, c in _hub_arcs(weights or {}):
-        net.add_arc(u, v, c)
+    net, handles = _net(sol.x, weights)
     src = ("relocate-src",)
     net.add_arc(src, new_root, R1)
     pushed = net.max_flow(src, sol.root)
@@ -196,17 +174,8 @@ def _check_transfer_feasible(sol, weights):
     support a unit flow from every terminal to the root (each emitted
     component acts as a hub of throughput = its weight between its
     terminals)."""
-    base = [(a[0], a[1], v) for a, v in sol.x.items() if v > 0]
-    base += _hub_arcs(weights)
-    for t in sorted(sol.instance.terminals):
-        if t == sol.root:
-            continue
-        net = FlowNet()
-        for u, v, c in base:
-            net.add_arc(u, v, c)
-        if net.max_flow(t, sol.root) < 1:
-            return False
-    return True
+    return all(_net(sol.x, weights)[0].max_flow(t, sol.root) >= 1
+               for t in sorted(sol.instance.terminals - {sol.root}))
 
 
 def natural_decomposition(sol, check=False):

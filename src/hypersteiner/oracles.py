@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ratio import Rat, R0
+from .ratio import R0
 from .instance import edge_key, orient, SteinerTree, UnionFind
 from .hyperlp import pcm1_table
 from .removal_matroid import RemovalMatroid

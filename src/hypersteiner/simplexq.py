@@ -5,6 +5,12 @@ with every number an exact rational.  Bland's rule (smallest eligible
 index enters, smallest-index basic variable leaves on ties) guarantees
 termination; no scaling, no tolerances.  Dense tableau - fine at the
 problem sizes this package targets.
+
+The columns are x, then one slack per `<=` row, then one artificial per
+equality row or per row negated for a negative right-hand side, then the
+rhs.  Each row is built once and starts with its slack or its artificial
+basic.  One pricing routine computes the objective row of both phases
+(cost 1 on the artificials, then c) and skips zero entries.
 """
 
 from .ratio import Rat, R0, R1
@@ -38,23 +44,34 @@ def _pivot(T, pr, pc, basis):
     basis[pr] = pc
 
 
-def _iterate(T, basis, m, rhs_col, price_cols):
-    """Bland iterations; objective row is T[m], rhs in column rhs_col."""
-    obj = T[m]
+def _priced(T, basis, cost):
+    """Objective row of `cost` (one entry per column) over the basis:
+    reduced costs, and minus the objective value in the rhs column."""
+    obj = cost + [R0]
+    for row, b in zip(T, basis):
+        f = cost[b]
+        if f != 0:
+            for j, v in enumerate(row):
+                if v != 0:
+                    obj[j] -= f * v
+    return obj
+
+
+def _iterate(T, basis, price_cols):
+    """Bland iterations; the objective row is T[-1], rhs the last column."""
+    obj = T[-1]
+    m = len(T) - 1
+    rhs = len(obj) - 1
     while True:
-        pc = -1
-        for j in range(price_cols):
-            if obj[j] < 0:
-                pc = j
-                break
-        if pc < 0:
+        pc = next((j for j in range(price_cols) if obj[j] < 0), None)
+        if pc is None:
             return
         pr = -1
         best = None
         for i in range(m):
             a = T[i][pc]
             if a > 0:
-                ratio = T[i][rhs_col] / a
+                ratio = T[i][rhs] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[pr]):
                     best, pr = ratio, i
         if pr < 0:
@@ -67,91 +84,45 @@ def solve_lp(c, A_ub, b_ub, A_eq=(), b_eq=()):
 
     Raises Infeasible / Unbounded accordingly.
     """
-    n = len(c)
-    c = [Rat(v) for v in c]
-    rows = []
-    for a, b in zip(A_ub, b_ub):
-        rows.append(([Rat(v) for v in a], Rat(b), "ub"))
-    for a, b in zip(A_eq, b_eq):
-        rows.append(([Rat(v) for v in a], Rat(b), "eq"))
-    m = len(rows)
-    nslack = sum(1 for r in rows if r[2] == "ub")
-    norm = []
-    needs_art = []
-    si = 0
-    for a, b, kind in rows:
-        srow = list(a) + [R0] * nslack
-        if kind == "ub":
-            srow[n + si] = R1
-            si += 1
+    n, ns = len(c), len(A_ub)
+    rhs = [Rat(b) for b in (*b_ub, *b_eq)]
+    art = [i >= ns or b < 0 for i, b in enumerate(rhs)]
+    width = n + ns + sum(art)
+    free = iter(range(n + ns, width))  # the artificial columns, in row order
+    T, basis = [], []
+    for i, (a, b) in enumerate(zip((*A_ub, *A_eq), rhs)):
+        row = [Rat(v) for v in a] + [R0] * (width - n) + [b]
+        if i < ns:
+            row[n + i] = R1
         if b < 0:
-            srow = [-v for v in srow]
-            b = -b
-            needs_art.append(True)
-        else:
-            needs_art.append(kind == "eq")
-        norm.append((srow, b))
-    nart = sum(needs_art)
-    width = n + nslack + nart  # rhs lives at column `width`
-    T = [[R0] * (width + 1) for _ in range(m + 1)]
-    basis = [None] * m
-    ai = 0
-    for i, ((srow, b), art) in enumerate(zip(norm, needs_art)):
-        for j, v in enumerate(srow):
-            T[i][j] = v
-        T[i][width] = b
-        if art:
-            T[i][n + nslack + ai] = R1
-            basis[i] = n + nslack + ai
-            ai += 1
-        else:
-            for j in range(n, n + nslack):
-                if srow[j] == R1:
-                    basis[i] = j
-                    break
-            assert basis[i] is not None, "ub row without identity slack"
+            row = [-v for v in row]
+        basis.append(next(free) if art[i] else n + i)
+        row[basis[-1]] = R1
+        T.append(row)
 
-    if nart:
-        # phase 1: minimize the sum of artificials.  Reduced-cost row:
-        # c_j - sum over artificial-basic rows of T[i][j], with phase-1
-        # cost 1 on artificial columns and 0 elsewhere.
-        for j in range(width + 1):
-            s = R0
-            for i in range(m):
-                if basis[i] >= n + nslack:
-                    s += T[i][j]
-            cj = R1 if n + nslack <= j < width else R0
-            T[m][j] = cj - s
-        _iterate(T, basis, m, width, width)
-        if T[m][width] != 0:
+    if width > n + ns:
+        # phase 1: minimize the sum of the artificials
+        T.append(_priced(T, basis, [R0] * (n + ns) + [R1] * (width - n - ns)))
+        _iterate(T, basis, width)
+        if T[-1][width] != 0:
             raise Infeasible("phase 1 optimum nonzero")
-        for i in range(m):
-            if basis[i] >= n + nslack:
-                # artificial at value 0 still basic: pivot it out if the
-                # row has any structural/slack entry, else the row is
-                # redundant and can stay
-                for j in range(n + nslack):
-                    if T[i][j] != 0:
-                        _pivot(T, i, j, basis)
-                        break
+        for i, b in enumerate(basis):
+            if b >= n + ns:
+                # an artificial left basic at 0: pivot it out on the row's
+                # first structural or slack entry; a row with none is
+                # redundant and keeps it
+                j = next((j for j in range(n + ns) if T[i][j] != 0), None)
+                if j is not None:
+                    _pivot(T, i, j, basis)
+        T.pop()
 
-    # phase 2 objective expressed over the current basis
-    for j in range(width + 1):
-        T[m][j] = R0
-    for j in range(n):
-        T[m][j] = c[j]
-    for i in range(m):
-        bi = basis[i]
-        if bi is not None and bi < n and c[bi] != 0:
-            f = c[bi]
-            for j in range(width + 1):
-                T[m][j] -= f * T[i][j]
+    c = [Rat(v) for v in c]
+    T.append(_priced(T, basis, c + [R0] * (width - n)))
     # artificial columns are excluded from pricing so they never re-enter
-    _iterate(T, basis, m, width, n + nslack)
+    _iterate(T, basis, n + ns)
 
     x = [R0] * n
-    for i in range(m):
-        if basis[i] is not None and basis[i] < n:
-            x[basis[i]] = T[i][width]
-    obj_val = sum((ci * xi for ci, xi in zip(c, x)), R0)
-    return x, obj_val
+    for row, b in zip(T, basis):
+        if b < n:
+            x[b] = row[width]
+    return x, sum((ci * xi for ci, xi in zip(c, x)), R0)

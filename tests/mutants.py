@@ -79,6 +79,15 @@ MUTANTS = [
      "_terminal_directions(X, adj, u)[1:]", "_terminal_directions(X, adj, u)[2:]",
      ["tests/test_splitting.py::test_map_back_prunes_random_splitting"]),
     # the exact LP
+    ("Bland's leaving tie reversed", "simplexq.py",
+     "basis[i] < basis[pr]", "basis[i] > basis[pr]",
+     ["tests/test_simplexq.py::test_bland_leaving_rule_breaks_ratio_ties"]),
+    ("phase 2 prices the artificial columns", "simplexq.py",
+     "_iterate(T, basis, n + ns)", "_iterate(T, basis, width)",
+     ["tests/test_simplexq.py::test_basic_min"]),
+    ("basic artificials not pivoted out after phase 1", "simplexq.py",
+     "_pivot(T, i, j, basis)", "pass",
+     ["tests/test_simplexq.py::test_phase1_pivots_out_a_basic_artificial"]),
     ("all-zero filter drops single-1 rows", "hyperlp.py",
      "if any(a)]", "if sum(a) > 1]",
      ["tests/test_hyperlp.py::test_solve_lp_exact_passes_no_all_zero_row[3-0]"]),

@@ -135,6 +135,29 @@ def test_only_cli_imports_oracles():
     assert offenders == []
 
 
+def _unused_imports(path):
+    """Names a module's import statements bind that the module never
+    reads; a name listed in __all__ counts as read."""
+    bound, read = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+def test_no_unused_imports():
+    # no linter runs on the package, so a refactor that leaves an import
+    # behind fails here
+    unused = {path.name: names for path in PACKAGE_MODULES
+              if (names := _unused_imports(path))}
+    assert unused == {}
+
+
 def test_only_components_imports_heapq():
     # one shortest-path routine in production: outside the references,
     # the Dreyfus-Wagner pass of components.py is the only heap user

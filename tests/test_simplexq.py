@@ -35,11 +35,47 @@ def test_exact_fractions():
     assert x[0] == Rat(1, 3) and obj == Rat(1, 3)
 
 
+def test_bland_entering_rule_picks_smallest_index():
+    # min -x - y  s.t.  x + y <= 1,  y <= 1: the optimal face also holds
+    # (0, 1), but x, the smallest index with negative reduced cost,
+    # enters first and no pivot follows
+    x, obj = solve_lp([-1, -1], [[1, 1], [0, 1]], [1, 1])
+    assert x == [1, 0] and obj == -1
+
+
+def test_bland_leaving_rule_breaks_ratio_ties():
+    # min 2x  s.t.  x + y >= 1,  2x + y <= 2: every (0, y) with
+    # 1 <= y <= 2 is optimal.  x enters first, and its ratio test ties
+    # row 0 (artificial basic, column 4) with row 1 (slack basic, column
+    # 3).  The smaller basic index leaves, and the path ends at (0, 2);
+    # letting the artificial leave ends at (0, 1).
+    x, obj = solve_lp([2, 0], [[-1, -1], [2, 1]], [-1, 2])
+    assert x == [0, 2] and obj == 0
+
+
+@pytest.mark.parametrize("cy", [1, -1])
+def test_phase1_pivots_out_a_basic_artificial(cy):
+    # min +-y  s.t.  x <= 0,  x - y = 0: phase 1 ends with the equality
+    # row's artificial basic at 0 and -y in its row, and pivots y in for
+    # it.  Left basic, the artificial would let y grow when -y is
+    # minimised, and the LP would look unbounded.
+    x, obj = solve_lp([0, cy], [[1, 0]], [0], A_eq=[[1, -1]], b_eq=[0])
+    assert x == [0, 0] and obj == 0
+
+
+def test_redundant_equality_keeps_its_artificial():
+    # x + y = 3 twice: after phase 1 the second row's artificial is basic
+    # in a row with no structural or slack entry, and stays there
+    x, obj = solve_lp([2, 1], [], [], A_eq=[[1, 1], [1, 1]], b_eq=[3, 3])
+    assert x == [0, 3] and obj == 3
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_random_lp_vs_vertex_enumeration(seed):
-    """2-3 variables, a handful of rows: simplex optimum must equal the
-    best feasible basic point found by brute-forcing row intersections
+    """2-3 variables, a handful of rows and an optional equality row: the
+    simplex optimum must equal the best feasible basic point found by
+    brute-forcing row intersections, each tight on the equality row
     (plus strong-duality-free feasibility: simplex x satisfies all rows)."""
     import random
     import itertools
@@ -49,8 +85,10 @@ def test_random_lp_vs_vertex_enumeration(seed):
     c = [Rat(rng.randint(0, 5)) for _ in range(n)]
     A = [[Rat(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
     b = [Rat(rng.randint(-3, 6)) for _ in range(m)]
+    eq = [([Rat(rng.randint(-4, 4)) for _ in range(n)], Rat(rng.randint(-3, 6)))
+          for _ in range(rng.randint(0, 1))]
     try:
-        x, obj = solve_lp(c, A, b)
+        x, obj = solve_lp(c, A, b, [row for row, _ in eq], [rhs for _, rhs in eq])
     except Infeasible:
         return
     except Unbounded:
@@ -58,14 +96,17 @@ def test_random_lp_vs_vertex_enumeration(seed):
     assert all(v >= 0 for v in x)
     for row, rhs in zip(A, b):
         assert sum(a * v for a, v in zip(row, x)) <= rhs
+    for row, rhs in eq:
+        assert sum(a * v for a, v in zip(row, x)) == rhs
     assert obj == sum(ci * v for ci, v in zip(c, x))
-    # try all ways to make n constraints tight (rows or x_i = 0) and solve
-    # the square system by elimination; no feasible point may beat obj
+    # try all ways to make n constraints tight (the equality row, then
+    # rows or x_i = 0) and solve the square system by elimination; no
+    # feasible point may beat obj
     rows = [(row, rhs) for row, rhs in zip(A, b)]
     rows += [([Rat(1 if j == i else 0) for j in range(n)], Rat(0))
              for i in range(n)]
-    for pick in itertools.combinations(range(len(rows)), n):
-        M = [list(rows[i][0]) + [rows[i][1]] for i in pick]
+    for pick in itertools.combinations(range(len(rows)), n - len(eq)):
+        M = [list(row) + [rhs] for row, rhs in eq + [rows[i] for i in pick]]
         # gaussian elimination, exact
         sol = _solve_square(M, n)
         if sol is None:
